@@ -72,7 +72,6 @@ usage:
                [--cache N] [--store DIR] [--store-entries N]
                [--high-watermark N] [--max-inflight N] [--io-workers K]
                [--job-threads N] [--log-interval MS] [--shards N]
-               [--legacy-io]
   prpart submit <design.xml> [--host H] [--port N]
                 [--device NAME | --budget C,B,D] [--candidate-sets N]
                 [--evals N] [--threads N] [--timeout MS] [--id ID] [--json]
@@ -920,7 +919,6 @@ int cmd_serve(const Args& args, std::ostream& err) {
   opt.store_dir = args.value_or("store", "");
   opt.store_entries = args.u64_or("store-entries", 4096);
   opt.job_threads = static_cast<unsigned>(args.u64_or("job-threads", 1));
-  opt.legacy_io = args.has("legacy-io");
   opt.io_workers = static_cast<unsigned>(args.u64_or("io-workers", 2));
   opt.max_inflight_per_conn = args.u64_or("max-inflight", 64);
   opt.log = &err;
@@ -1052,8 +1050,7 @@ int run(const std::vector<std::string>& args, std::ostream& out,
       return 0;
     }
     const Args parsed(args, {"floorplan", "prefetch", "json", "search-stats",
-                             "uniform", "rank", "first-fit", "no-anneal",
-                             "legacy-io"});
+                             "uniform", "rank", "first-fit", "no-anneal"});
     if (parsed.positionals().empty()) {
       err << "error: missing command\n" << kUsage;
       return 1;
@@ -1123,7 +1120,7 @@ int run(const std::vector<std::string>& args, std::ostream& out,
     if (command == "serve") {
       parsed.check_known({"port", "workers", "max-queue", "high-watermark",
                           "timeout", "cache", "store", "store-entries",
-                          "job-threads", "legacy-io", "io-workers",
+                          "job-threads", "io-workers",
                           "max-inflight", "log-interval", "shards"});
       return cmd_serve(parsed, err);
     }

@@ -561,7 +561,6 @@ json::Value metrics_json(const StatsSnapshot& snapshot,
                          const MetricsExtra& extra) {
   json::Value v = json::Value::object();
   json::Value srv = json::Value::object();
-  srv.set("io_mode", json::Value(extra.io_mode));
   srv.set("connections", json::Value(extra.connections));
   srv.set("connections_total", json::Value(extra.connections_total));
   srv.set("admission_depth", json::Value(extra.admission_depth));
@@ -583,7 +582,7 @@ json::Value metrics_json(const StatsSnapshot& snapshot,
 namespace {
 
 /// Flattens the numeric/boolean leaves of the metrics document into
-/// exposition lines. Strings (io_mode, simd_tier) become `# key value`
+/// exposition lines. Strings (simd_tier) become `# key value`
 /// comments so the text form still carries them.
 void append_metric_lines(const json::Value& node, const std::string& prefix,
                          std::string& out) {

@@ -198,7 +198,6 @@ std::string queued_response(const std::string& id, std::size_t position,
 /// Everything the `metrics` request reports beyond the StatsSnapshot:
 /// event-loop and store gauges owned by the server, not by ServerStats.
 struct MetricsExtra {
-  std::string io_mode;                 ///< "epoll" or "threads"
   std::uint64_t connections = 0;       ///< currently open
   std::uint64_t connections_total = 0; ///< accepted over the lifetime
   std::uint64_t admission_depth = 0;   ///< framed lines awaiting admission

@@ -182,7 +182,7 @@ void Reactor::frame_lines(std::uint64_t token, Conn& conn) {
     std::string line;
     if (nl == std::string::npos) {
       conn.scan_from = conn.inbuf.size();
-      if (conn.inbuf.size() - consumed > options_.max_line) {
+      if (conn.inbuf.size() - consumed > TcpStream::kMaxLine) {
         conn.dead = true;  // protocol abuse: unbounded line
         break;
       }
@@ -192,7 +192,7 @@ void Reactor::frame_lines(std::uint64_t token, Conn& conn) {
       line = conn.inbuf.substr(consumed);
       consumed = conn.inbuf.size();
     } else {
-      if (nl - consumed > options_.max_line) {
+      if (nl - consumed > TcpStream::kMaxLine) {
         conn.dead = true;
         break;
       }

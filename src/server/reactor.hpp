@@ -22,6 +22,10 @@ namespace prpart::server {
 /// `on_line` callback (on the reactor thread — it must only enqueue), and
 /// responses come back cross-thread through post_final/post_notice.
 ///
+/// A request line longer than TcpStream::kMaxLine (terminated or not) is
+/// protocol abuse: that connection is closed, its unanswered requests are
+/// dropped, and every other connection is unaffected.
+///
 /// Backpressure is structural: a connection with `max_inflight` outstanding
 /// requests stops being read (and framed) until a final response retires
 /// one, so a pipelining client is throttled by TCP itself instead of a
@@ -33,7 +37,6 @@ class Reactor {
  public:
   struct Options {
     std::size_t max_inflight = 64;  ///< per-connection outstanding cap
-    std::size_t max_line = 64u << 20;
   };
 
   /// `on_line(token, line)` receives each framed request; the token routes

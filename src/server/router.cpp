@@ -60,7 +60,7 @@ void ShardRouter::start() {
   require(!started_.exchange(true), "router already started");
   listener_ = TcpListener::bind(options_.port);
   bound_port_ = listener_.port();
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  accept_thread_ = std::thread([this] { accept_clients(); });
   log_line("routing 127.0.0.1:" + std::to_string(bound_port_) + " across " +
            std::to_string(options_.shard_ports.size()) + " shards");
 }
@@ -123,7 +123,7 @@ std::size_t ShardRouter::shard_of_line(const std::string& line) const {
   }
 }
 
-void ShardRouter::accept_loop() {
+void ShardRouter::accept_clients() {
   while (!stopping_.load()) {
     std::optional<TcpStream> stream = listener_.accept_wait(wake_);
     // Reap finished clients so a long-lived router does not accumulate one

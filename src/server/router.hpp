@@ -84,7 +84,7 @@ class ShardRouter {
     std::size_t shard = 0;
   };
 
-  void accept_loop();
+  void accept_clients();
   void serve_client(ClientConn* conn);
   /// Relays every response line from `upstream` back to the client.
   void relay_loop(ClientConn* conn, std::size_t shard);

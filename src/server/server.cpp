@@ -63,7 +63,7 @@ Server::Server(ServerOptions options)
       library_(DeviceLibrary::extended()),
       store_(options_.cache_entries, options_.store_dir,
              options_.store_entries),
-      line_cache_(options_.legacy_io ? 0 : options_.cache_entries) {}
+      line_cache_(options_.cache_entries) {}
 
 Server::~Server() { stop(); }
 
@@ -73,32 +73,24 @@ void Server::start() {
     require(!started_, "server already started");
     TcpListener listener = TcpListener::bind(options_.port);
     bound_port_ = listener.port();
-    if (options_.legacy_io) {
-      listener_ = std::move(listener);
-    } else {
-      Reactor::Options ropt;
-      ropt.max_inflight = std::max<std::size_t>(1, options_.max_inflight_per_conn);
-      reactor_ = std::make_unique<Reactor>(
-          std::move(listener), ropt,
-          [this](std::uint64_t token, std::string line) {
-            {
-              const MutexLock qlock(admission_mutex_);
-              admission_.emplace_back(token, std::move(line));
-            }
-            admission_cv_.notify_one();
-          });
-    }
+    Reactor::Options ropt;
+    ropt.max_inflight = std::max<std::size_t>(1, options_.max_inflight_per_conn);
+    reactor_ = std::make_unique<Reactor>(
+        std::move(listener), ropt,
+        [this](std::uint64_t token, std::string line) {
+          {
+            const MutexLock qlock(admission_mutex_);
+            admission_.emplace_back(token, std::move(line));
+          }
+          admission_cv_.notify_one();
+        });
     started_ = true;
   }
-  if (options_.legacy_io) {
-    accept_thread_ = std::thread([this] { accept_loop(); });
-  } else {
-    reactor_->start();
-    const unsigned io_workers = std::max(1u, options_.io_workers);
-    io_workers_.reserve(io_workers);
-    for (unsigned i = 0; i < io_workers; ++i)
-      io_workers_.emplace_back([this] { io_worker_loop(); });
-  }
+  reactor_->start();
+  const unsigned io_workers = std::max(1u, options_.io_workers);
+  io_workers_.reserve(io_workers);
+  for (unsigned i = 0; i < io_workers; ++i)
+    io_workers_.emplace_back([this] { io_worker_loop(); });
   const unsigned workers = std::max(1u, options_.workers);
   workers_.reserve(workers);
   for (unsigned i = 0; i < workers; ++i)
@@ -108,39 +100,33 @@ void Server::start() {
   log_line("listening on 127.0.0.1:" + std::to_string(bound_port_) + " (" +
            std::to_string(workers) + " workers, queue " +
            std::to_string(options_.max_queue) + "/" +
-           std::to_string(high_watermark()) + ", io " +
-           (options_.legacy_io ? "threads" : "epoll") + ")");
+           std::to_string(high_watermark()) + ")");
 }
 
 void Server::stop() {
   {
     const MutexLock lock(lifecycle_mutex_);
     if (!started_ || stopped_) return;
-    if (stopping_.load()) return;  // a concurrent stop is already draining
-    stopping_.store(true);
+    if (stopping_) return;  // a concurrent stop is already draining
+    stopping_ = true;
   }
   logger_cv_.notify_all();
 
-  // 1. Stop accepting new connections and reading new requests. In reactor
-  //    mode the admission queue then drains: already-framed lines are still
-  //    parsed and admitted (draining_ is not set yet), so every request the
-  //    server finished reading gets a real answer.
-  if (options_.legacy_io) {
-    if (accept_thread_.joinable()) accept_thread_.join();
-    listener_.close();
-  } else if (reactor_) {
-    reactor_->shutdown_input();
-    {
-      const MutexLock lock(admission_mutex_);
-      admission_closed_ = true;
-    }
-    admission_cv_.notify_all();
-    for (std::thread& w : io_workers_)
-      if (w.joinable()) w.join();
+  // 1. Stop accepting new connections and reading new requests. The
+  //    admission queue then drains: already-framed lines are still parsed
+  //    and admitted (draining_ is not set yet), so every request the server
+  //    finished reading gets a real answer.
+  reactor_->shutdown_input();
+  {
+    const MutexLock lock(admission_mutex_);
+    admission_closed_ = true;
   }
+  admission_cv_.notify_all();
+  for (std::thread& w : io_workers_)
+    if (w.joinable()) w.join();
 
   // 2. Drain: admission now rejects, workers finish every queued and
-  //    in-flight job (delivering every response), then exit.
+  //    in-flight job (posting every response), then exit.
   {
     const MutexLock lock(queue_mutex_);
     draining_ = true;
@@ -149,24 +135,9 @@ void Server::stop() {
   for (std::thread& w : workers_)
     if (w.joinable()) w.join();
 
-  // 3. Flush responses and close connections. Legacy: unblock handler
-  //    threads waiting for more requests (their pending responses were all
-  //    written or are being written right now). Reactor: every final has
-  //    been posted, so finish() writes out the outboxes and joins.
-  if (options_.legacy_io) {
-    {
-      const MutexLock lock(conns_mutex_);
-      for (const auto& conn : conns_) conn->stream.shutdown_read();
-    }
-    {
-      const MutexLock lock(conns_mutex_);
-      for (const auto& conn : conns_)
-        if (conn->thread.joinable()) conn->thread.join();
-      conns_.clear();
-    }
-  } else if (reactor_) {
-    reactor_->finish();
-  }
+  // 3. Every final has been posted: write out the outboxes, close the
+  //    connections and join the reactor.
+  reactor_->finish();
 
   // 4. Spill the RAM-resident results so a restart warm-starts from disk.
   store_.flush();
@@ -188,35 +159,6 @@ StatsSnapshot Server::stats_snapshot() const {
   return stats_.snapshot(depth, in_flight);
 }
 
-void Server::accept_loop() {
-  while (!stopping_.load()) {
-    std::optional<TcpStream> stream = listener_.accept(50);
-    // Reap finished connections so a long-lived server does not accumulate
-    // one Connection record per client ever served.
-    {
-      const MutexLock lock(conns_mutex_);
-      for (auto it = conns_.begin(); it != conns_.end();) {
-        if ((*it)->done.load()) {
-          (*it)->thread.join();
-          it = conns_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    }
-    if (!stream) continue;
-    auto conn = std::make_unique<Connection>();
-    conn->stream = std::move(*stream);
-    Connection* raw = conn.get();
-    {
-      const MutexLock lock(conns_mutex_);
-      conns_.push_back(std::move(conn));
-    }
-    legacy_conns_total_.fetch_add(1, std::memory_order_relaxed);
-    raw->thread = std::thread([this, raw] { handle_connection(raw); });
-  }
-}
-
 void Server::io_worker_loop() {
   while (true) {
     std::uint64_t token = 0;
@@ -231,16 +173,16 @@ void Server::io_worker_loop() {
       line = std::move(admission_.front().second);
       admission_.pop_front();
     }
-    handle_line(token, std::move(line));
+    handle_line(token, line);
   }
 }
 
-void Server::handle_line(std::uint64_t token, std::string line) {
+void Server::handle_line(std::uint64_t token, const std::string& line) {
   const std::int64_t submit_ns = monotonic_now_ns();
   std::string line_key;
   if (std::optional<LineKey> fast = line_fast_key(line)) {
     // Fast path: a previously completed job already answered this exact
-    // line (module the id). No JSON parse, no design parse, no hashing —
+    // line (modulo the id). No JSON parse, no design parse, no hashing —
     // this is what lets a warm pipelined stream saturate the scheduler.
     if (std::optional<std::string> hit = line_cache_.lookup(fast->key)) {
       stats_.cache_hit(latency_us_since(submit_ns));
@@ -249,42 +191,6 @@ void Server::handle_line(std::uint64_t token, std::string line) {
     }
     line_key = std::move(fast->key);
   }
-  handle_request(
-      line, std::move(line_key),
-      [this, token](std::string&& response) {
-        reactor_->post_final(token, std::move(response));
-      },
-      [this, token](std::string&& notice) {
-        reactor_->post_notice(token, std::move(notice));
-      });
-}
-
-void Server::handle_connection(Connection* conn) {
-  try {
-    while (std::optional<std::string> line = conn->stream.read_line()) {
-      if (line->empty()) continue;
-      std::promise<std::string> response;
-      handle_request(
-          *line, std::string(),
-          [&response](std::string&& r) { response.set_value(std::move(r)); },
-          [conn](std::string&& notice) {
-            // Best-effort interim line; a vanished peer must not disturb
-            // the job that was already admitted.
-            try {
-              conn->stream.write_all(notice + "\n");
-            } catch (const SocketError&) {
-            }
-          });
-      conn->stream.write_all(response.get_future().get() + "\n");
-    }
-  } catch (const SocketError&) {
-    // Peer vanished (or stalled past the send timeout): drop the connection.
-  }
-  conn->done.store(true);
-}
-
-void Server::handle_request(const std::string& line, std::string line_key,
-                            Deliver deliver, Deliver notice) {
   std::string id;
   try {
     Request request = parse_request(line);
@@ -293,45 +199,44 @@ void Server::handle_request(const std::string& line, std::string line_key,
       case Request::Type::Ping: {
         json::Value pong = json::Value::object();
         pong.set("pong", json::Value(true));
-        deliver(ok_response(id, pong.dump()));
+        reactor_->post_final(token, ok_response(id, pong.dump()));
         return;
       }
       case Request::Type::Stats:
-        deliver(stats_response(id));
+        reactor_->post_final(token, stats_response(id));
         return;
       case Request::Type::Metrics:
-        deliver(metrics_response(request));
+        reactor_->post_final(token, metrics_response(request));
         return;
       case Request::Type::Analyze:
-        deliver(handle_analyze(request.analyze));
+        reactor_->post_final(token, handle_analyze(request.analyze));
         return;
       case Request::Type::Partition:
-        // `deliver` is passed by value (copied) so the catch blocks below
-        // can still answer when admission throws before taking ownership.
-        admit_job(std::move(request.partition), std::nullopt, std::nullopt,
-                  std::move(line_key), deliver, std::move(notice));
+        admit_job(token, std::move(request.partition), std::nullopt,
+                  std::nullopt, std::move(line_key));
         return;
       case Request::Type::Simulate:
-        admit_job(std::move(request.simulate.partition),
-                  request.simulate.params, std::nullopt, std::move(line_key),
-                  deliver, std::move(notice));
+        admit_job(token, std::move(request.simulate.partition),
+                  request.simulate.params, std::nullopt, std::move(line_key));
         return;
       case Request::Type::Floorplan:
-        admit_job(std::move(request.floorplan.partition), std::nullopt,
-                  request.floorplan.params, std::move(line_key), deliver,
-                  std::move(notice));
+        admit_job(token, std::move(request.floorplan.partition), std::nullopt,
+                  request.floorplan.params, std::move(line_key));
         return;
     }
     stats_.job_failed();
-    deliver(error_response(id, ErrorCode::Internal, "unhandled request type"));
+    reactor_->post_final(
+        token, error_response(id, ErrorCode::Internal, "unhandled request type"));
   } catch (const Error& e) {
     // Malformed JSON, schema violations, bad design XML, unknown device:
     // everything thrown before a job was admitted is the client's fault.
     stats_.job_failed();
-    deliver(error_response(id, ErrorCode::BadRequest, e.what()));
+    reactor_->post_final(token,
+                         error_response(id, ErrorCode::BadRequest, e.what()));
   } catch (const std::exception& e) {
     stats_.job_failed();
-    deliver(error_response(id, ErrorCode::Internal, e.what()));
+    reactor_->post_final(token,
+                         error_response(id, ErrorCode::Internal, e.what()));
   }
 }
 
@@ -353,10 +258,10 @@ std::string Server::handle_analyze(const AnalyzeRequest& request) {
   return ok_response(request.id, analysis::analysis_json(sa.result).dump());
 }
 
-void Server::admit_job(PartitionRequest request,
+void Server::admit_job(std::uint64_t token, PartitionRequest request,
                        std::optional<SimulateParams> simulate,
                        std::optional<FloorplanParams> floorplan,
-                       std::string line_key, Deliver deliver, Deliver notice) {
+                       std::string line_key) {
   const std::int64_t submit_ns = monotonic_now_ns();
   // Validate everything the worker would otherwise trip over, so
   // bad_request never costs a queue slot: the design must parse and a named
@@ -384,7 +289,7 @@ void Server::admit_job(PartitionRequest request,
       if (const auto proof =
               analysis::prove_infeasible(design, *budget, library_, label)) {
         stats_.job_infeasible(latency_us_since(submit_ns));
-        deliver(error_response(
+        reactor_->post_final(token, error_response(
             request.id, ErrorCode::Infeasible,
             "design does not fit the target (lower bound " +
                 (design.largest_configuration_area() + design.static_base())
@@ -407,17 +312,16 @@ void Server::admit_job(PartitionRequest request,
   if (std::optional<std::string> hit = store_.lookup(key)) {
     stats_.cache_hit(latency_us_since(submit_ns));
     if (!line_key.empty()) line_cache_.store(line_key, *hit);
-    deliver(ok_response(request.id, *hit));
+    reactor_->post_final(token, ok_response(request.id, *hit));
     return;
   }
   stats_.cache_miss();
 
-  auto job = std::make_shared<Job>(std::move(request), std::move(design), key,
-                                   submit_ns);
+  auto job = std::make_shared<Job>(token, std::move(request),
+                                   std::move(design), key, submit_ns);
   job->simulate = simulate;
   job->floorplan = floorplan;
   job->line_key = std::move(line_key);
-  job->deliver = std::move(deliver);
   const std::uint64_t timeout_ms = job->request.timeout_ms != 0
                                        ? job->request.timeout_ms
                                        : options_.default_timeout_ms;
@@ -445,15 +349,17 @@ void Server::admit_job(PartitionRequest request,
   switch (verdict) {
     case Verdict::kDraining:
       stats_.job_rejected();
-      job->deliver(error_response(job->request.id, ErrorCode::Overloaded,
-                                  "server is draining"));
+      reactor_->post_final(token,
+                           error_response(job->request.id, ErrorCode::Overloaded,
+                                          "server is draining"));
       return;
     case Verdict::kQueueFull:
       stats_.job_rejected();
-      job->deliver(error_response(job->request.id, ErrorCode::Overloaded,
-                                  "job queue is full (" +
-                                      std::to_string(high_watermark()) +
-                                      " waiting)"));
+      reactor_->post_final(
+          token, error_response(job->request.id, ErrorCode::Overloaded,
+                                "job queue is full (" +
+                                    std::to_string(high_watermark()) +
+                                    " waiting)"));
       return;
     case Verdict::kAdmittedQueued: {
       stats_.job_accepted();
@@ -465,7 +371,8 @@ void Server::admit_job(PartitionRequest request,
       const std::uint64_t eta_ms =
           position * ewma_us / std::max(1u, options_.workers) / 1000;
       stats_.job_queued_notice();
-      notice(queued_response(job->request.id, position, eta_ms));
+      reactor_->post_notice(token,
+                            queued_response(job->request.id, position, eta_ms));
       return;
     }
     case Verdict::kAdmitted:
@@ -559,7 +466,7 @@ void Server::execute_job(Job& job, WorkerPool& pool, EvalScratch& scratch) {
                                   rerank.overturned);
         if (!rerank.any_feasible) {
           stats_.job_infeasible(latency_us_since(job.submit_ns));
-          job.deliver(error_response(
+          reactor_->post_final(job.token, error_response(
               job.request.id, ErrorCode::Infeasible,
               "no enumerated scheme has a legal floorplan on " +
                   device->name()));
@@ -580,7 +487,7 @@ void Server::execute_job(Job& job, WorkerPool& pool, EvalScratch& scratch) {
           stats_.floorplan_finished(1, plan.feasible ? 0 : 1, false);
           if (!plan.feasible) {
             stats_.job_infeasible(latency_us_since(job.submit_ns));
-            job.deliver(error_response(
+            reactor_->post_final(job.token, error_response(
                 job.request.id, ErrorCode::Infeasible,
                 "the proposed scheme has no legal floorplan on " +
                     device->name()));
@@ -642,7 +549,7 @@ void Server::execute_job(Job& job, WorkerPool& pool, EvalScratch& scratch) {
                       static_cast<std::int64_t>(old)) /
                          8);
   exec_ewma_us_.store(next, std::memory_order_relaxed);
-  job.deliver(std::move(response));
+  reactor_->post_final(job.token, std::move(response));
 }
 
 std::string Server::stats_response(const std::string& id) const {
@@ -651,16 +558,8 @@ std::string Server::stats_response(const std::string& id) const {
 
 std::string Server::metrics_response(const Request& request) const {
   MetricsExtra extra;
-  extra.io_mode = options_.legacy_io ? "threads" : "epoll";
-  if (reactor_) {
-    extra.connections = reactor_->connections();
-    extra.connections_total = reactor_->connections_total();
-  } else {
-    const MutexLock lock(conns_mutex_);
-    extra.connections = conns_.size();
-    extra.connections_total =
-        legacy_conns_total_.load(std::memory_order_relaxed);
-  }
+  extra.connections = reactor_->connections();
+  extra.connections_total = reactor_->connections_total();
   {
     const MutexLock lock(admission_mutex_);
     extra.admission_depth = admission_.size();
@@ -684,9 +583,9 @@ std::string Server::metrics_response(const Request& request) const {
 
 void Server::logger_loop() {
   MutexLock lock(lifecycle_mutex_);
-  while (!stopping_.load()) {
+  while (!stopping_) {
     logger_cv_.wait_for_ms(lifecycle_mutex_, options_.log_interval_ms);
-    if (stopping_.load()) break;
+    if (stopping_) break;
     // The stats snapshot takes the queue and stats locks, which sit below
     // the lifecycle mutex — but holding an outer lock across a log write
     // would serialise stop() behind slow sinks, so drop it first.

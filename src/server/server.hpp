@@ -3,9 +3,6 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <functional>
-#include <future>
-#include <list>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -57,12 +54,8 @@ struct ServerOptions {
   /// own `threads`. Kept at 1 by default so K scheduler workers do not
   /// multiply into K x hardware_concurrency search threads.
   unsigned job_threads = 1;
-  /// Serve I/O mode. The default is the epoll reactor: one event-loop
-  /// thread owns every connection and `io_workers` admission threads parse
-  /// and dispatch framed request lines. `legacy_io` restores the
-  /// thread-per-connection front end (the pre-reactor baseline, also what
-  /// bench_serve compares against).
-  bool legacy_io = false;
+  /// Admission threads behind the epoll reactor: they parse and dispatch
+  /// the framed request lines, keeping the reactor thread free for I/O.
   unsigned io_workers = 2;
   /// Per-connection cap on pipelined requests awaiting a final response;
   /// at the cap the reactor stops reading the connection (TCP
@@ -76,9 +69,10 @@ struct ServerOptions {
 /// The `prpart serve` engine: a TCP front end multiplexing the
 /// deterministic partitioning engine across concurrent clients.
 ///
-///   * a non-blocking epoll reactor owning every connection (or, with
-///     legacy_io, one handler thread per connection), `workers` scheduler
-///     threads draining a bounded job queue;
+///   * a non-blocking epoll reactor owning every connection, `io_workers`
+///     admission threads framing requests into jobs, and `workers`
+///     scheduler threads draining a bounded job queue; every response,
+///     inline or from a worker, goes back through the reactor;
 ///   * pipelining: clients may stream many newline-delimited requests per
 ///     connection; responses come back as each job finishes (possibly out
 ///     of order) and are matched by `id`;
@@ -106,9 +100,8 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds the listener and spawns the reactor (or accept), admission,
-  /// worker and logger threads. Throws SocketError when the port cannot be
-  /// bound.
+  /// Binds the listener and spawns the reactor, admission, worker and
+  /// logger threads. Throws SocketError when the port cannot be bound.
   void start();
 
   /// Bound port (valid after start()).
@@ -122,18 +115,17 @@ class Server {
   StatsSnapshot stats_snapshot() const;
 
  private:
-  /// Receives exactly one final response line. Invoked synchronously for
-  /// requests answered inline (errors, cache hits, rejections) and from a
-  /// scheduler worker for everything that went through the queue.
-  using Deliver = std::function<void(std::string&&)>;
-
   struct Job {
-    Job(PartitionRequest req, Design parsed, std::string key,
-        std::int64_t submitted)
-        : request(std::move(req)),
+    Job(std::uint64_t conn, PartitionRequest req, Design parsed,
+        std::string key, std::int64_t submitted)
+        : token(conn),
+          request(std::move(req)),
           design(std::move(parsed)),
           cache_key(std::move(key)),
           submit_ns(submitted) {}
+
+    /// Reactor connection the final response is posted to.
+    std::uint64_t token;
 
     PartitionRequest request;
     /// Set for `simulate` jobs: after the partition, replay this workload
@@ -150,24 +142,17 @@ class Server {
     std::string line_key;
     std::int64_t submit_ns;
     CancelToken cancel;
-    Deliver deliver;  ///< called exactly once with the full response line
   };
 
-  struct Connection {
-    TcpStream stream;
-    std::thread thread;
-    std::atomic<bool> done{false};  ///< lets the accept loop reap the thread
-  };
-
-  void accept_loop();
-  /// One admission thread (reactor mode): pops framed lines, probes the
-  /// request-line cache, parses and dispatches. Keeps the reactor thread
-  /// free for pure I/O.
+  /// One admission thread: pops framed lines, probes the request-line
+  /// cache, parses and dispatches. Keeps the reactor thread free for pure
+  /// I/O.
   void io_worker_loop();
   /// One framed line from connection `token`: the fast path (request-line
-  /// cache) or the full parse/dispatch path, responses posted back through
-  /// the reactor.
-  void handle_line(std::uint64_t token, std::string line);
+  /// cache) or the full parse/dispatch path; never throws. Posts exactly
+  /// one final response for the line — here for everything answered inline,
+  /// from a worker for admitted jobs — and at most one `queued` notice.
+  void handle_line(std::uint64_t token, const std::string& line);
   /// One job worker. Owns the worker's persistent execution state — a
   /// WorkerPool of job_threads threads and a warm EvalScratch — and reuses
   /// both across every job it runs, so a server in steady state spawns no
@@ -176,22 +161,17 @@ class Server {
   /// time.
   void worker_loop();
   void logger_loop();
-  void handle_connection(Connection* conn);
-  /// Parses and dispatches one request line; never throws. `deliver` gets
-  /// the final response (synchronously or later from a worker); `notice`
-  /// gets at most one interim `queued` line before the final.
-  void handle_request(const std::string& line, std::string line_key,
-                      Deliver deliver, Deliver notice);
   std::string handle_analyze(const AnalyzeRequest& request);
   /// Shared admission path of partition, simulate and floorplan jobs:
-  /// pre-checks, result-store lookup, queue admission. Calls `deliver`
-  /// exactly once (inline for pre-check errors, store hits and rejections;
-  /// from a worker otherwise) and `notice` at most once, after the queue
-  /// lock is released, when the job landed in the soft band.
-  void admit_job(PartitionRequest request,
+  /// pre-checks, result-store lookup, queue admission. Posts the final
+  /// response to `token` inline for store hits, provable infeasibility and
+  /// rejections, or leaves it to the worker once the job is queued; posts
+  /// a `queued` notice, after the queue lock is released, when the job
+  /// landed in the soft band. Pre-check failures throw (the caller answers).
+  void admit_job(std::uint64_t token, PartitionRequest request,
                  std::optional<SimulateParams> simulate,
                  std::optional<FloorplanParams> floorplan,
-                 std::string line_key, Deliver deliver, Deliver notice);
+                 std::string line_key);
   /// Runs one job on this worker's persistent pool + scratch.
   void execute_job(Job& job, WorkerPool& pool, EvalScratch& scratch);
   std::string stats_response(const std::string& id) const;
@@ -206,24 +186,22 @@ class Server {
   const DeviceLibrary library_;
   /// Two-level result store: canonical design/job hash -> payload.
   ResultStore store_;
-  /// Request-line fast path (reactor mode only): the raw request line with
-  /// the id blanked -> payload. Warm pipelined submissions skip JSON
-  /// parsing, design parsing and hashing. Same lock level as the semantic
-  /// cache (kResultCache) — the two are only ever probed sequentially.
+  /// Request-line fast path: the raw request line with the id blanked ->
+  /// payload. Warm pipelined submissions skip JSON parsing, design parsing
+  /// and hashing. Same lock level as the semantic cache (kResultCache) —
+  /// the two are only ever probed sequentially.
   ResultCache line_cache_;
   ServerStats stats_;
 
-  TcpListener listener_;  ///< legacy mode only; the reactor owns its own
   std::uint16_t bound_port_ = 0;
   std::unique_ptr<Reactor> reactor_;
-  std::thread accept_thread_;
   std::vector<std::thread> io_workers_;
   std::vector<std::thread> workers_;
   std::thread logger_thread_;
 
-  // Admission handoff (reactor mode): framed lines queued by the reactor
-  // thread, drained by the io workers. Sits between the connection
-  // registries and the stats lock in the hierarchy (lock_order.hpp).
+  // Admission handoff: framed lines queued by the reactor thread, drained
+  // by the io workers. Sits between the reactor's connection registry and
+  // the stats lock in the hierarchy (lock_order.hpp).
   mutable Mutex admission_mutex_{lock_order::Level::kServerAdmission,
                                  "server.admission"};
   CondVar admission_cv_;
@@ -244,18 +222,12 @@ class Server {
   /// atomic: the estimate is advisory.
   std::atomic<std::uint64_t> exec_ewma_us_{0};
 
-  // Connection registry (legacy mode), so stop() can unblock handler
-  // threads.
-  mutable Mutex conns_mutex_{lock_order::Level::kServerConns, "server.conns"};
-  std::list<std::unique_ptr<Connection>> conns_ PRPART_GUARDED_BY(conns_mutex_);
-  std::atomic<std::uint64_t> legacy_conns_total_{0};
-
   // Lifecycle. Outermost level: held across the logger's periodic sleep.
   Mutex lifecycle_mutex_{lock_order::Level::kServerLifecycle,
                          "server.lifecycle"};
   CondVar logger_cv_;
   bool started_ PRPART_GUARDED_BY(lifecycle_mutex_) = false;
-  std::atomic<bool> stopping_{false};  ///< read lock-free by the accept loop
+  bool stopping_ PRPART_GUARDED_BY(lifecycle_mutex_) = false;
   bool stopped_ PRPART_GUARDED_BY(lifecycle_mutex_) = false;
 
   // Leaf: a log line may be emitted while holding anything.

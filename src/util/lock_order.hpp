@@ -34,13 +34,11 @@ namespace prpart::lock_order {
 /// Gaps between values leave room for new locks without renumbering.
 enum class Level : std::uint32_t {
   kServerLifecycle = 10,  ///< Server start/stop state + logger wakeups
-  kServerConns = 20,      ///< Server connection registry (legacy thread-per-
-                          ///< connection mode)
   kReactorConns = 22,     ///< reactor connection registry: the epoll loop's
                           ///< token -> connection map. Below the stats/cache
                           ///< layers so a metrics scrape may count
                           ///< connections first and fold counters after.
-  kServerAdmission = 24,  ///< reactor-mode admission queue of framed request
+  kServerAdmission = 24,  ///< admission queue of the reactor's framed request
                           ///< lines. The reactor pushes with no lock held;
                           ///< admission workers pop and then walk the full
                           ///< cache/stats/queue ladder below.

@@ -267,24 +267,6 @@ TcpListener TcpListener::bind(std::uint16_t port) {
   return listener;
 }
 
-std::optional<TcpStream> TcpListener::accept(int timeout_ms) {
-  pollfd pfd{fd_, POLLIN, 0};
-  const int ready = ::poll(&pfd, 1, timeout_ms);
-  if (ready < 0) {
-    if (errno == EINTR) return std::nullopt;
-    throw_errno("poll");
-  }
-  if (ready == 0) return std::nullopt;
-  const int client = ::accept(fd_, nullptr, nullptr);
-  if (client < 0) {
-    if (errno == EINTR || errno == ECONNABORTED) return std::nullopt;
-    throw_errno("accept");
-  }
-  const int one = 1;
-  ::setsockopt(client, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-  return TcpStream(client);
-}
-
 std::optional<TcpStream> TcpListener::accept_wait(WakePipe& wake) {
   pollfd pfds[2] = {{fd_, POLLIN, 0}, {wake.read_fd(), POLLIN, 0}};
   const int ready = ::poll(pfds, 2, -1);

@@ -47,7 +47,7 @@ class TcpStream {
   void write_all(std::string_view data);
 
   /// Half-closes the read side; a blocked read_line on another thread
-  /// returns EOF. Used by the server's graceful drain.
+  /// returns EOF. Used by the shard router's graceful drain.
   void shutdown_read();
 
   /// Half-closes the write side: the peer observes EOF after draining what
@@ -111,9 +111,9 @@ class WakePipe {
   int fds_[2] = {-1, -1};
 };
 
-/// A listening TCP socket bound to the loopback interface. accept() polls
-/// with a timeout so the server's accept loop can observe its stop flag
-/// without signals or self-pipes.
+/// A listening TCP socket bound to the loopback interface. Connections are
+/// taken either by parking in accept_wait() (woken through a WakePipe) or,
+/// from an event loop, by accept_nonblocking().
 class TcpListener {
  public:
   TcpListener() = default;
@@ -130,10 +130,6 @@ class TcpListener {
 
   bool valid() const { return fd_ >= 0; }
   std::uint16_t port() const { return port_; }
-
-  /// Waits up to timeout_ms for a connection; nullopt on timeout (callers
-  /// loop and re-check their stop condition).
-  std::optional<TcpStream> accept(int timeout_ms);
 
   /// Readiness-wait accept: parks indefinitely until either a connection
   /// arrives or `wake` is notified, so an idle accept loop costs zero

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -782,8 +783,8 @@ TEST(ServerTest, ClientSkipsQueuedNoticesTransparently) {
   for (int i = 0; i < kClients; ++i)
     threads.emplace_back([&, i] {
       Client client("127.0.0.1", server.port());
-      const ClientResponse resp =
-          client.submit(small_request("cq" + std::to_string(i), 200'000 + i));
+      const ClientResponse resp = client.submit(small_request(
+          "cq" + std::to_string(i), 200'000 + static_cast<std::uint64_t>(i)));
       if (resp.ok) ++ok;
       notices.fetch_add(client.queued_notices_seen());
     });
@@ -800,7 +801,6 @@ TEST(ServerTest, MetricsRequestReportsServerAndStoreState) {
   const ClientResponse resp = client.metrics("m");
   ASSERT_TRUE(resp.ok) << resp.error_message;
   const json::Value& srv = resp.result.at("server");
-  EXPECT_EQ(srv.at("io_mode").as_string(), "epoll");
   EXPECT_GE(srv.at("connections").as_u64(), 1u);  // this client
   EXPECT_GE(srv.at("connections_total").as_u64(), 1u);
   EXPECT_EQ(srv.at("admission_depth").as_u64(), 0u);
@@ -821,8 +821,8 @@ TEST(ServerTest, MetricsTextFormatIsFlatKeyValueLines) {
   ASSERT_TRUE(resp.ok) << resp.error_message;
   // The text exposition rides inside the JSON envelope as one string.
   const std::string text = resp.result.as_string();
-  EXPECT_NE(text.find("# prpart_server_io_mode epoll"), std::string::npos)
-      << text;
+  // String leaves become comment lines.
+  EXPECT_NE(text.find("# prpart_jobs_simd_tier "), std::string::npos) << text;
   EXPECT_NE(text.find("prpart_jobs_completed 0"), std::string::npos) << text;
   EXPECT_NE(text.find("prpart_store_ram_entries 0"), std::string::npos)
       << text;
@@ -918,41 +918,61 @@ TEST(ServerTest, ThousandPipelinedClientsAreServedInOneProcess) {
             static_cast<std::uint64_t>(kConns));
 }
 
-TEST(ServerTest, LegacyIoModeStillServes) {
-  ServerOptions opt = quiet_options();
-  opt.legacy_io = true;
-  Server server(opt);
+TEST(ServerTest, OverlongLineClosesOnlyThatConnection) {
+  Server server(quiet_options());
   server.start();
-  const json::Value request = partition_request_json(small_request("leg"));
-  const std::string cold = raw_exchange(server.port(), request);
-  const std::string warm = raw_exchange(server.port(), request);
-  EXPECT_EQ(warm, cold);
-  EXPECT_FALSE(result_payload(cold, "leg").empty()) << cold;
-  Client client("127.0.0.1", server.port());
-  const ClientResponse metrics = client.metrics();
-  ASSERT_TRUE(metrics.ok);
-  EXPECT_EQ(metrics.result.at("server").at("io_mode").as_string(), "threads");
-  server.stop();
-}
 
-TEST(ServerTest, ReactorAndLegacyModesAnswerByteIdentically) {
-  // The tentpole refactor must be invisible on the wire: both I/O layers
-  // splice the same payload bytes into the same envelope.
-  const json::Value request = partition_request_json(small_request("xio"));
-  std::string epoll_line, legacy_line;
-  {
-    Server server(quiet_options());
-    server.start();
-    epoll_line = raw_exchange(server.port(), request);
+  // One connection streams an unterminated line past TcpStream::kMaxLine
+  // while another pipelines ordinary requests at the same time.
+  TcpStream abuser = TcpStream::connect("127.0.0.1", server.port());
+  TcpStream good = TcpStream::connect("127.0.0.1", server.port());
+  std::thread flood([&abuser] {
+    const std::string chunk(1u << 20, 'x');
+    try {
+      for (std::size_t sent = 0; sent <= TcpStream::kMaxLine;
+           sent += chunk.size())
+        abuser.write_all(chunk);
+    } catch (const SocketError&) {
+      // EPIPE or a reset: the server closed the connection mid-stream.
+    }
+  });
+
+  constexpr int kRequests = 6;
+  std::string burst;
+  for (int i = 0; i < kRequests; ++i) {
+    const std::string id = "g" + std::to_string(i);
+    burst += i % 2 == 0
+                 ? "{\"type\":\"ping\",\"id\":\"" + id + "\"}\n"
+                 : partition_request_json(small_request(id)).dump() + "\n";
   }
-  {
-    ServerOptions opt = quiet_options();
-    opt.legacy_io = true;
-    Server server(opt);
-    server.start();
-    legacy_line = raw_exchange(server.port(), request);
+  good.write_all(burst);
+  int finals = 0;
+  while (finals < kRequests) {
+    const std::optional<std::string> line = good.read_line();
+    if (!line) {
+      ADD_FAILURE() << "good connection closed after " << finals;
+      break;  // still join the flood thread below
+    }
+    const json::Value doc = json::parse(*line);
+    if (!doc.find("ok") && doc.find("queued")) continue;
+    EXPECT_TRUE(doc.at("ok").as_bool()) << *line;
+    ++finals;
   }
-  EXPECT_EQ(epoll_line, legacy_line);
+  flood.join();
+
+  // The server closed the abusive connection without answering it: the
+  // read sees EOF, or a reset because the server dropped unread bytes.
+  pollfd pfd{abuser.fd(), POLLIN, 0};
+  ASSERT_EQ(::poll(&pfd, 1, 10'000), 1) << "abusive connection still open";
+  bool closed = false;
+  try {
+    closed = !abuser.read_line().has_value();
+  } catch (const SocketError&) {
+    closed = true;
+  }
+  EXPECT_TRUE(closed);
+  server.stop();
+  EXPECT_EQ(server.stats_snapshot().failed, 0u);
 }
 
 TEST(ServerTest, ServeCommandDrainsOnSigtermAndExitsZero) {

@@ -15,15 +15,19 @@
 namespace prpart {
 namespace {
 
+/// The server end of a connection the client has already opened: it is
+/// pending in the backlog, so accept_wait returns at once.
+TcpStream accept_peer(TcpListener& listener) {
+  WakePipe wake;
+  std::optional<TcpStream> peer = listener.accept_wait(wake);
+  EXPECT_TRUE(peer.has_value());
+  return peer ? std::move(*peer) : TcpStream();
+}
+
 TEST(SocketTest, BindEphemeralPortReportsIt) {
   TcpListener listener = TcpListener::bind(0);
   EXPECT_TRUE(listener.valid());
   EXPECT_NE(listener.port(), 0);
-}
-
-TEST(SocketTest, AcceptTimesOutWithoutClient) {
-  TcpListener listener = TcpListener::bind(0);
-  EXPECT_FALSE(listener.accept(10).has_value());
 }
 
 TEST(SocketTest, ConnectToClosedPortThrows) {
@@ -37,32 +41,27 @@ TEST(SocketTest, ConnectToClosedPortThrows) {
 
 TEST(SocketTest, LineRoundTrip) {
   TcpListener listener = TcpListener::bind(0);
-  std::thread echo([&] {
-    std::optional<TcpStream> peer = listener.accept(2000);
-    ASSERT_TRUE(peer.has_value());
-    while (std::optional<std::string> line = peer->read_line())
-      peer->write_all("echo:" + *line + "\n");
+  TcpStream client = TcpStream::connect("localhost", listener.port());
+  std::thread echo([peer = accept_peer(listener)]() mutable {
+    while (std::optional<std::string> line = peer.read_line())
+      peer.write_all("echo:" + *line + "\n");
   });
-  {
-    TcpStream client = TcpStream::connect("localhost", listener.port());
-    // Two requests in one write: the reader must split on '\n'.
-    client.write_all("first\nsecond\n");
-    EXPECT_EQ(client.read_line(), "echo:first");
-    EXPECT_EQ(client.read_line(), "echo:second");
-    client.write_all("third\r\n");
-    EXPECT_EQ(client.read_line(), "echo:third");
-  }
+  // Two requests in one write: the reader must split on '\n'.
+  client.write_all("first\nsecond\n");
+  EXPECT_EQ(client.read_line(), "echo:first");
+  EXPECT_EQ(client.read_line(), "echo:second");
+  client.write_all("third\r\n");
+  EXPECT_EQ(client.read_line(), "echo:third");
+  client.close();  // EOF ends the echo loop
   echo.join();
 }
 
 TEST(SocketTest, CleanEofReturnsNullopt) {
   TcpListener listener = TcpListener::bind(0);
-  std::thread server([&] {
-    std::optional<TcpStream> peer = listener.accept(2000);
-    ASSERT_TRUE(peer.has_value());
-    peer->write_all("bye\n");
-  });
   TcpStream client = TcpStream::connect("127.0.0.1", listener.port());
+  std::thread server([peer = accept_peer(listener)]() mutable {
+    peer.write_all("bye\n");
+  });
   EXPECT_EQ(client.read_line(), "bye");
   EXPECT_FALSE(client.read_line().has_value());
   server.join();
@@ -70,12 +69,10 @@ TEST(SocketTest, CleanEofReturnsNullopt) {
 
 TEST(SocketTest, UnterminatedTrailingDataIsFinalLine) {
   TcpListener listener = TcpListener::bind(0);
-  std::thread server([&] {
-    std::optional<TcpStream> peer = listener.accept(2000);
-    ASSERT_TRUE(peer.has_value());
-    peer->write_all("no newline");
-  });
   TcpStream client = TcpStream::connect("127.0.0.1", listener.port());
+  std::thread server([peer = accept_peer(listener)]() mutable {
+    peer.write_all("no newline");
+  });
   EXPECT_EQ(client.read_line(), "no newline");
   EXPECT_FALSE(client.read_line().has_value());
   server.join();
@@ -83,12 +80,10 @@ TEST(SocketTest, UnterminatedTrailingDataIsFinalLine) {
 
 TEST(SocketTest, OverlongLineThrows) {
   TcpListener listener = TcpListener::bind(0);
-  std::thread server([&] {
-    std::optional<TcpStream> peer = listener.accept(2000);
-    ASSERT_TRUE(peer.has_value());
-    peer->write_all(std::string(128, 'x') + "\n");
-  });
   TcpStream client = TcpStream::connect("127.0.0.1", listener.port());
+  std::thread server([peer = accept_peer(listener)]() mutable {
+    peer.write_all(std::string(128, 'x') + "\n");
+  });
   EXPECT_THROW(client.read_line(64), SocketError);
   server.join();
 }
@@ -96,12 +91,11 @@ TEST(SocketTest, OverlongLineThrows) {
 TEST(SocketTest, ShutdownReadUnblocksReader) {
   TcpListener listener = TcpListener::bind(0);
   TcpStream client = TcpStream::connect("127.0.0.1", listener.port());
-  std::optional<TcpStream> peer = listener.accept(2000);
-  ASSERT_TRUE(peer.has_value());
-  std::thread reader([&] { EXPECT_FALSE(peer->read_line().has_value()); });
+  TcpStream peer = accept_peer(listener);
+  std::thread reader([&] { EXPECT_FALSE(peer.read_line().has_value()); });
   // Give the reader a moment to block, then half-close its socket.
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  peer->shutdown_read();
+  peer.shutdown_read();
   reader.join();
 }
 
@@ -113,9 +107,8 @@ TEST(SocketTest, ShutdownReadUnblocksReader) {
 std::pair<TcpStream, TcpStream> stream_pair() {
   TcpListener listener = TcpListener::bind(0);
   TcpStream client = TcpStream::connect("127.0.0.1", listener.port());
-  std::optional<TcpStream> server = listener.accept(2000);
-  EXPECT_TRUE(server.has_value());
-  return {std::move(client), std::move(*server)};
+  TcpStream server = accept_peer(listener);
+  return {std::move(client), std::move(server)};
 }
 
 /// Shrinks a socket buffer so partial writes happen at test-sized payloads.

@@ -59,12 +59,6 @@ FLOORS = {
     # floorplan subsystem, not perf metrics.
     "placement_dominates_agreement": 1.0,
     "thread_identity_agreement": 1.0,
-    # BENCH_serve.json: warm designs/sec of the epoll reactor over the
-    # legacy thread-per-connection layer at 1024 pipelined connections and
-    # equal worker counts — the serve-path tentpole's acceptance ratio,
-    # measured ~7x on the reference host. Same-host ratio, so it is exempt
-    # from the wall-clock skip like the other floors.
-    "serve_speedup_1024": 5.0,
 }
 
 # Host-dependent keys that are *deliberately* neither drift-checked nor
@@ -117,16 +111,6 @@ INFORMATIONAL = {
         "epoll.cold_c64.designs_per_second",
         "epoll.p50_latency_seconds",
         "epoll.p99_latency_seconds",
-        "threads.warm_c64.wall_seconds",
-        "threads.warm_c64.designs_per_second",
-        "threads.warm_c256.wall_seconds",
-        "threads.warm_c256.designs_per_second",
-        "threads.warm_c1024.wall_seconds",
-        "threads.warm_c1024.designs_per_second",
-        "threads.cold_c64.wall_seconds",
-        "threads.cold_c64.designs_per_second",
-        "threads.p50_latency_seconds",
-        "threads.p99_latency_seconds",
     },
 }
 
