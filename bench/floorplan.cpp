@@ -9,6 +9,12 @@
 //   thread_identity_agreement — the full re-ranking (order, totals and every
 //     placed rectangle) must be byte-identical whether the search ran with
 //     1, 4 or 16 threads; hard floor 1.0.
+//   ladder_identity_agreement — every candidate's floorplan_scheme output
+//     (stage, rectangles, verdict, diagnostics, fix-it) must equal the
+//     reference ladder's in oracle/ (the column-by-column rungs the
+//     prefix-sum geometry replaced); hard floor 1.0. ladder_speedup, the
+//     reference's wall time over production's on the same candidates, is
+//     informational.
 //
 // The remaining counters (veto rate, overturns, placement inflation) are
 // deterministic functions of the fixed seed and are regression-gated
@@ -24,11 +30,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <string>
 #include <vector>
 
 #include "core/partitioner.hpp"
 #include "design/synthetic.hpp"
 #include "floorplan/rerank.hpp"
+#include "oracle/floorplan_reference.hpp"
 #include "util/json.hpp"
 
 namespace prpart::bench {
@@ -151,7 +159,54 @@ int main_impl() {
     return 1;
   }
 
-  // Leg 2 — determinism: the entire re-ranking must be identical whether
+  // Leg 2 — ladder identity against the reference oracle, timed on the
+  // same candidates. floorplan_scheme reads only the regions' tiles and the
+  // static resources, which the placement-true patch leaves alone.
+  std::uint64_t ladder_checked = 0, ladder_held = 0;
+  double production_seconds = 0.0, reference_seconds = 0.0;
+  const auto timed = [](double& seconds, auto&& run) {
+    const auto t0 = std::chrono::steady_clock::now();
+    PlacedFloorplan plan = run();
+    seconds += std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - t0)
+                   .count();
+    return plan;
+  };
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const Device& device = *cases[i].device;
+    for (const FloorplanCandidate& cand : reranks[i].ranked) {
+      const PlacedFloorplan production = timed(production_seconds, [&] {
+        return floorplan_scheme(device, cand.eval, {}, &library);
+      });
+      const PlacedFloorplan reference = timed(reference_seconds, [&] {
+        return oracle::floorplan_scheme_reference(device, cand.eval, {},
+                                                  &library);
+      });
+      ++ladder_checked;
+      const std::string got = oracle::describe(production);
+      if (got == oracle::describe(reference) &&
+          got == oracle::describe(cand.plan))
+        ++ladder_held;
+    }
+  }
+  const double ladder_identity =
+      ladder_checked == 0 ? 0.0
+                          : static_cast<double>(ladder_held) /
+                                static_cast<double>(ladder_checked);
+  const double ladder_speedup =
+      production_seconds > 0.0 ? reference_seconds / production_seconds : 0.0;
+  std::printf("ladder identity: production == reference ladder on %llu/%llu "
+              "candidates (floor 1.0); reference %.3f s vs production "
+              "%.3f s (%.1fx)\n",
+              static_cast<unsigned long long>(ladder_held),
+              static_cast<unsigned long long>(ladder_checked),
+              reference_seconds, production_seconds, ladder_speedup);
+  if (ladder_identity != 1.0) {
+    std::printf("\nFAIL: the placement ladder diverged from its reference\n");
+    return 1;
+  }
+
+  // Leg 3 — determinism: the entire re-ranking must be identical whether
   // the search that produced the candidate set ran with 1, 4 or 16 threads
   // (the same discipline the CLI/server JSON encoders rely on for cache
   // hits and cross-frontend byte identity).
@@ -207,6 +262,8 @@ int main_impl() {
     // Floor-gated (== 1.0 in tools/check_bench.py).
     doc.set("placement_dominates_agreement", json::Value(dominance));
     doc.set("thread_identity_agreement", json::Value(identity));
+    doc.set("ladder_identity_agreement", json::Value(ladder_identity));
+    doc.set("ladder_speedup", json::Value(ladder_speedup));
     doc.set("identity_wall_seconds", json::Value(identity_seconds));
     std::ofstream bench_json("BENCH_floorplan.json");
     bench_json << doc.dump() << "\n";

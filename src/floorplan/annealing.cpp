@@ -11,8 +11,8 @@ namespace prpart {
 
 namespace {
 
+using fpgeom::ColumnPrefix;
 using fpgeom::covers;
-using fpgeom::rect_tiles;
 using fpgeom::total_tiles;
 
 /// Overlapping tile count of two rectangles.
@@ -28,27 +28,25 @@ std::uint64_t overlap(const RegionPlacement& a, const RegionPlacement& b) {
 
 /// Samples a random rectangle for `need`: uniform anchor, minimal width.
 /// Returns false when no rectangle fits at the sampled anchor.
-bool sample_rectangle(Rng& rng, const Device& device, const TileCount& need,
-                      std::size_t region, RegionPlacement& out) {
-  const std::uint32_t rows = device.rows();
-  const auto cols = static_cast<std::uint32_t>(device.columns().size());
+bool sample_rectangle(Rng& rng, const ColumnPrefix& geometry,
+                      const TileCount& need, std::size_t region,
+                      RegionPlacement& out) {
+  const std::uint32_t rows = geometry.rows();
+  const std::uint32_t cols = geometry.cols();
   const auto height = static_cast<std::uint32_t>(rng.uniform(1, rows));
   const auto row =
       static_cast<std::uint32_t>(rng.uniform(0, rows - height));
   const auto col = static_cast<std::uint32_t>(rng.uniform(0, cols - 1));
-  TileCount have;
-  for (std::uint32_t end = col; end < cols; ++end) {
-    have = rect_tiles(device, height, col, end - col + 1);
-    if (covers(have, need)) {
-      out = RegionPlacement{region, row, height, col, end - col + 1, have};
-      return true;
-    }
-  }
-  return false;
+  const std::uint32_t width =
+      geometry.min_covering_width(height, col, cols - col, need);
+  if (width == 0) return false;
+  out = RegionPlacement{region, row, height, col, width,
+                        geometry.rect_tiles(height, col, width)};
+  return true;
 }
 
 /// Shared body of anneal_place / anneal_refine; `warm_start` may be null.
-FloorplanResult anneal_impl(const Device& device,
+FloorplanResult anneal_impl(const ColumnPrefix& geometry,
                             const std::vector<TileCount>& regions,
                             const std::vector<RegionPlacement>* warm_start,
                             const AnnealingOptions& options) {
@@ -70,8 +68,8 @@ FloorplanResult anneal_impl(const Device& device,
     if (warm_start != nullptr) {
       for (const RegionPlacement& p : *warm_start) {
         if (p.region != r || p.width == 0) continue;
-        if (p.row + p.height > device.rows() ||
-            p.col + p.width > device.columns().size())
+        if (p.row + p.height > geometry.rows() ||
+            p.col + p.width > geometry.cols())
           break;
         if (!covers(p.provided, regions[r])) break;
         result.placements[r] = p;
@@ -80,7 +78,7 @@ FloorplanResult anneal_impl(const Device& device,
       }
     }
     for (int attempt = 0; attempt < 256 && !seeded; ++attempt)
-      seeded = sample_rectangle(rng, device, regions[r], r,
+      seeded = sample_rectangle(rng, geometry, regions[r], r,
                                 result.placements[r]);
     if (!seeded) {
       result.failed_region = r;  // no rectangle fits anywhere we sampled
@@ -111,7 +109,7 @@ FloorplanResult anneal_impl(const Device& device,
   for (std::uint32_t it = 0; it < options.iterations && energy > 0; ++it) {
     const std::size_t r = movable[rng.below(movable.size())];
     RegionPlacement candidate;
-    if (!sample_rectangle(rng, device, regions[r], r, candidate)) continue;
+    if (!sample_rectangle(rng, geometry, regions[r], r, candidate)) continue;
 
     const std::uint64_t before = energy_of(r);
     const RegionPlacement saved = result.placements[r];
@@ -149,14 +147,21 @@ FloorplanResult anneal_impl(const Device& device,
 FloorplanResult anneal_place(const Device& device,
                              const std::vector<TileCount>& regions,
                              const AnnealingOptions& options) {
-  return anneal_impl(device, regions, nullptr, options);
+  return anneal_impl(ColumnPrefix(device), regions, nullptr, options);
 }
 
 FloorplanResult anneal_refine(const Device& device,
                               const std::vector<TileCount>& regions,
                               const std::vector<RegionPlacement>& warm_start,
                               const AnnealingOptions& options) {
-  return anneal_impl(device, regions, &warm_start, options);
+  return anneal_impl(ColumnPrefix(device), regions, &warm_start, options);
+}
+
+FloorplanResult anneal_refine(const ColumnPrefix& geometry,
+                              const std::vector<TileCount>& regions,
+                              const std::vector<RegionPlacement>& warm_start,
+                              const AnnealingOptions& options) {
+  return anneal_impl(geometry, regions, &warm_start, options);
 }
 
 }  // namespace prpart

@@ -3,6 +3,7 @@
 #include <cstdint>
 
 #include "floorplan/floorplanner.hpp"
+#include "floorplan/geometry.hpp"
 
 namespace prpart {
 
@@ -20,12 +21,14 @@ struct AnnealingOptions {
 /// reconfigurable FPGAs"): instead of placing regions greedily one by one,
 /// all rectangles are optimised jointly. A state assigns every region a
 /// rectangle that covers its tile requirement; the energy is the number of
-/// pairwise-overlapping tiles, and moves re-seat one region at a random
-/// anchor. A zero-energy state is a legal floorplan.
+/// pairwise-overlapping tiles, and a move re-seats one region at a random
+/// anchor (height, row and column drawn uniformly) with the minimal covering
+/// width there, found by binary search over the device's column prefix. A
+/// zero-energy state is a legal floorplan.
 ///
-/// Slower than the greedy Floorplanner but able to untangle fragmented
-/// instances where first-fit's largest-first commitment wedges; the flow's
-/// feedback loop can use it as an escalation step.
+/// Slower than the deterministic rungs but able to untangle fragmented
+/// instances where largest-first commitment wedges: it is the placement
+/// ladder's last rung (anneal_refine) and the flow's escalation step.
 FloorplanResult anneal_place(const Device& device,
                              const std::vector<TileCount>& regions,
                              const AnnealingOptions& options = {});
@@ -37,6 +40,13 @@ FloorplanResult anneal_place(const Device& device,
 /// annealer instead of throwing it away. Same determinism contract: the
 /// result is a pure function of (device, regions, warm_start, options).
 FloorplanResult anneal_refine(const Device& device,
+                              const std::vector<TileCount>& regions,
+                              const std::vector<RegionPlacement>& warm_start,
+                              const AnnealingOptions& options = {});
+
+/// anneal_refine on a column prefix the caller already built for the
+/// device (the placement ladder shares one across its rungs).
+FloorplanResult anneal_refine(const fpgeom::ColumnPrefix& geometry,
                               const std::vector<TileCount>& regions,
                               const std::vector<RegionPlacement>& warm_start,
                               const AnnealingOptions& options = {});

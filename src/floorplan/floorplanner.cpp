@@ -10,24 +10,32 @@
 namespace prpart {
 
 Floorplanner::Floorplanner(const Device& device, FloorplanOptions options)
-    : device_(device), options_(options) {}
+    : geometry_(device), options_(options) {}
+
+FloorplanResult Floorplanner::place(
+    const std::vector<TileCount>& regions) const {
+  return greedy_place(geometry_, regions, options_);
+}
 
 namespace {
 
 using fpgeom::covers;
-using fpgeom::rect_tiles;
 using fpgeom::total_tiles;
 
 }  // namespace
 
-FloorplanResult Floorplanner::place(
-    const std::vector<TileCount>& regions) const {
-  const auto rows = device_.rows();
-  const auto cols = static_cast<std::uint32_t>(device_.columns().size());
+FloorplanResult greedy_place(const fpgeom::ColumnPrefix& geometry,
+                             const std::vector<TileCount>& regions,
+                             FloorplanOptions options) {
+  const std::uint32_t rows = geometry.rows();
+  const std::uint32_t cols = geometry.cols();
 
-  // Occupancy grid: free[r][c] == true when the tile is unallocated.
-  std::vector<std::vector<bool>> free(
-      rows, std::vector<bool>(cols, true));
+  // Occupancy grid, column-major so a column's row span is contiguous:
+  // taken[c * rows + r] != 0 once tile (r, c) is allocated.
+  std::vector<std::uint8_t> taken(std::size_t{rows} * cols, 0);
+  // For the current (height, row) band: free_run[c] is the number of
+  // columns from c rightward whose band tiles are all free.
+  std::vector<std::uint32_t> free_run(cols + 1, 0);
 
   // Largest regions first: they are the hardest to place.
   std::vector<std::size_t> order(regions.size());
@@ -58,36 +66,35 @@ FloorplanResult Floorplanner::place(
     bool placed = false;
     for (std::uint32_t height = 1; height <= rows && !placed; ++height) {
       for (std::uint32_t row = 0; row + height <= rows && !placed; ++row) {
+        for (std::uint32_t c = cols; c-- > 0;) {
+          const std::uint8_t* band = taken.data() + std::size_t{c} * rows + row;
+          free_run[c] = std::find(band, band + height, 1) == band + height
+                            ? free_run[c + 1] + 1
+                            : 0;
+        }
         for (std::uint32_t col = 0; col < cols && !placed; ++col) {
-          // Grow the window rightward while all tiles are free.
-          TileCount have;
-          for (std::uint32_t end = col; end < cols; ++end) {
-            bool column_free = true;
-            for (std::uint32_t r = row; r < row + height; ++r)
-              column_free = column_free && free[r][end];
-            if (!column_free) break;
-            have = rect_tiles(device_, height, col, end - col + 1);
-            if (!covers(have, need)) continue;
-            const std::uint32_t width = end - col + 1;
-            Candidate cand{
-                RegionPlacement{idx, row, height, col, width, have},
-                have.frames() - need.frames()};
-            if (options_.strategy == PlacementStrategy::FirstFit) {
-              chosen = cand;
-              placed = true;  // stop all scans
-            } else if (!chosen || cand.waste < chosen->waste) {
-              chosen = cand;
-            }
-            break;  // wider windows at this col only add waste
+          // The narrowest free window at this col that covers the need;
+          // wider windows only add waste.
+          const std::uint32_t width =
+              geometry.min_covering_width(height, col, free_run[col], need);
+          if (width == 0) continue;
+          const TileCount have = geometry.rect_tiles(height, col, width);
+          Candidate cand{RegionPlacement{idx, row, height, col, width, have},
+                         have.frames() - need.frames()};
+          if (options.strategy == PlacementStrategy::FirstFit) {
+            chosen = cand;
+            placed = true;  // stop all scans
+          } else if (!chosen || cand.waste < chosen->waste) {
+            chosen = cand;
           }
         }
       }
     }
     if (chosen) {
       const RegionPlacement& p = chosen->placement;
-      for (std::uint32_t r = p.row; r < p.row + p.height; ++r)
-        for (std::uint32_t c = p.col; c < p.col + p.width; ++c)
-          free[r][c] = false;
+      for (std::uint32_t c = p.col; c < p.col + p.width; ++c)
+        std::fill_n(taken.data() + std::size_t{c} * rows + p.row, p.height,
+                    std::uint8_t{1});
       result.placements.push_back(p);
     } else {
       result.success = false;

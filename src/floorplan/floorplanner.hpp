@@ -7,6 +7,7 @@
 #include "core/scheme.hpp"
 #include "device/device.hpp"
 #include "device/tiles.hpp"
+#include "floorplan/geometry.hpp"
 
 namespace prpart {
 
@@ -59,17 +60,21 @@ FloorplanStats floorplan_stats(const Device& device,
                                const std::vector<RegionPlacement>& placements);
 
 /// Architecture-aware floorplanner for PR regions (substrate for the
-/// paper's reference [11], step 5 of the tool flow).
+/// paper's reference [11], step 5 of the tool flow); the placement ladder's
+/// greedy rung.
 ///
 /// Regions are rectangles of whole tiles, aligned to the device's
 /// row/column grid (Fig. 4), non-overlapping, and each must contain at
-/// least the region's tile requirement of every resource type. Placement is
-/// greedy first-fit: regions are processed largest first; for each, the
-/// smallest-height rectangle satisfying the requirement is searched row by
-/// row, column by column. This models the vendor constraints (rectangular,
-/// tile-granular, non-overlapping) that the partitioner's resource check
-/// alone cannot see — a scheme can fit by resource count yet fail here,
-/// which is exactly the feedback loop the paper proposes as future work.
+/// least the region's tile requirement of every resource type. Regions are
+/// processed largest first over an occupancy grid; for each, candidate
+/// rectangles are scanned smallest height first, then row by row, column by
+/// column, each anchor's window grown rightward over free tiles until it
+/// covers the requirement. FirstFit takes the first such rectangle, BestFit
+/// the one wasting the fewest frames. This models the vendor constraints
+/// (rectangular, tile-granular, non-overlapping) that the partitioner's
+/// resource check alone cannot see — a scheme can fit by resource count yet
+/// fail here, which is exactly the feedback loop the paper proposes as
+/// future work.
 class Floorplanner {
  public:
   explicit Floorplanner(const Device& device, FloorplanOptions options = {});
@@ -81,9 +86,15 @@ class Floorplanner {
   FloorplanResult place_scheme(const SchemeEvaluation& evaluation) const;
 
  private:
-  const Device& device_;
+  fpgeom::ColumnPrefix geometry_;
   FloorplanOptions options_;
 };
+
+/// Floorplanner::place on a column prefix the caller already built for the
+/// device (the placement ladder shares one across its rungs).
+FloorplanResult greedy_place(const fpgeom::ColumnPrefix& geometry,
+                             const std::vector<TileCount>& regions,
+                             FloorplanOptions options = {});
 
 /// Emits Xilinx-UCF-style area-group constraints for a floorplan, one
 /// AREA_GROUP per region (step 6 of the tool flow).

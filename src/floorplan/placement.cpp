@@ -11,8 +11,8 @@ namespace prpart {
 
 namespace {
 
+using fpgeom::ColumnPrefix;
 using fpgeom::covers;
-using fpgeom::rect_tiles;
 using fpgeom::total_tiles;
 
 std::uint32_t ceil_div(std::uint32_t a, std::uint32_t b) {
@@ -33,8 +33,13 @@ const char* to_string(FloorplanStage stage) {
 
 FloorplanResult skyline_place(const Device& device,
                               const std::vector<TileCount>& regions) {
-  const std::uint32_t rows = device.rows();
-  const auto cols = static_cast<std::uint32_t>(device.columns().size());
+  return skyline_place(ColumnPrefix(device), regions);
+}
+
+FloorplanResult skyline_place(const ColumnPrefix& geometry,
+                              const std::vector<TileCount>& regions) {
+  const std::uint32_t rows = geometry.rows();
+  const std::uint32_t cols = geometry.cols();
   std::vector<std::uint32_t> top(cols, 0);
 
   // Largest regions first, like the greedy floorplanner.
@@ -62,16 +67,11 @@ FloorplanResult skyline_place(const Device& device,
     std::tuple<std::uint32_t, std::uint64_t, std::uint32_t, std::uint32_t>
         best_key;
     for (std::uint32_t col = 0; col < cols; ++col) {
-      TileCount type_cols;  // columns (not tiles) of each type in the window
       std::uint32_t base = 0;
       for (std::uint32_t width = 1; col + width <= cols; ++width) {
-        const std::uint32_t c = col + width - 1;
-        switch (device.columns()[c]) {
-          case BlockType::Clb: ++type_cols.clb_tiles; break;
-          case BlockType::Bram: ++type_cols.bram_tiles; break;
-          case BlockType::Dsp: ++type_cols.dsp_tiles; break;
-        }
-        base = std::max(base, top[c]);
+        base = std::max(base, top[col + width - 1]);
+        // Columns (not tiles) of each type in the window.
+        const TileCount type_cols = geometry.columns(col, width);
         // Minimal rectangle height covering `need` from this column mix.
         std::uint32_t height = 1;
         bool mix_ok = true;
@@ -88,7 +88,7 @@ FloorplanResult skyline_place(const Device& device,
             height = std::max(height, ceil_div(needs[t], have_cols[t]));
         }
         if (!mix_ok || base + height > rows) continue;
-        const TileCount have = rect_tiles(device, height, col, width);
+        const TileCount have = fpgeom::tiles_of(type_cols, height);
         const std::tuple<std::uint32_t, std::uint64_t, std::uint32_t,
                          std::uint32_t>
             key{base + height, have.frames() - need.frames(), col, width};
@@ -126,16 +126,35 @@ ResourceVec saturating_sub(const ResourceVec& a, const ResourceVec& b) {
           a.dsps >= b.dsps ? a.dsps - b.dsps : 0};
 }
 
+/// Tiles of each type summed over every region's requirement.
+TileCount summed(const std::vector<TileCount>& needs) {
+  TileCount sum;
+  for (const TileCount& n : needs) {
+    sum.clb_tiles += n.clb_tiles;
+    sum.bram_tiles += n.bram_tiles;
+    sum.dsp_tiles += n.dsp_tiles;
+  }
+  return sum;
+}
+
 /// Deterministic rungs of the ladder only (no annealer): used for the
 /// fix-it library walk, where speed and reproducibility matter more than
 /// squeezing out the last fragmented instance.
 bool deterministic_rungs_fit(const Device& device,
                              const std::vector<TileCount>& needs,
+                             const TileCount& need_sum,
                              const ResourceVec& static_resources,
                              PlacementStrategy strategy) {
-  FloorplanResult placed = skyline_place(device, needs);
-  if (!placed.success)
-    placed = Floorplanner(device, {strategy}).place(needs);
+  // Both rungs place disjoint rectangles that each cover their region, so
+  // neither can succeed on a device with fewer tiles of some type than the
+  // regions need in sum: skip it without placing anything.
+  if (need_sum.clb_tiles > device.tiles_of(BlockType::Clb) ||
+      need_sum.bram_tiles > device.tiles_of(BlockType::Bram) ||
+      need_sum.dsp_tiles > device.tiles_of(BlockType::Dsp))
+    return false;
+  const ColumnPrefix geometry(device);
+  FloorplanResult placed = skyline_place(geometry, needs);
+  if (!placed.success) placed = greedy_place(geometry, needs, {strategy});
   if (!placed.success) return false;
   ResourceVec used;
   for (const RegionPlacement& p : placed.placements)
@@ -146,14 +165,10 @@ bool deterministic_rungs_fit(const Device& device,
 /// The resource column type the failure should be pinned on, with its
 /// numbers: a genuine tile shortfall when one exists, else the most
 /// utilised type (a fragmentation witness).
-void pick_binding(const Device& device, const std::vector<TileCount>& needs,
+void pick_binding(const Device& device, const TileCount& need_sum,
                   FloorplanVerdict& verdict) {
-  std::uint32_t required[3] = {0, 0, 0};
-  for (const TileCount& n : needs) {
-    required[0] += n.clb_tiles;
-    required[1] += n.bram_tiles;
-    required[2] += n.dsp_tiles;
-  }
+  const std::uint32_t required[3] = {need_sum.clb_tiles, need_sum.bram_tiles,
+                                     need_sum.dsp_tiles};
   const BlockType types[3] = {BlockType::Clb, BlockType::Bram, BlockType::Dsp};
   const std::uint32_t available[3] = {device.tiles_of(BlockType::Clb),
                                       device.tiles_of(BlockType::Bram),
@@ -210,18 +225,19 @@ PlacedFloorplan floorplan_scheme(const Device& device,
   for (const RegionReport& r : evaluation.regions) needs.push_back(r.tiles);
 
   PlacedFloorplan plan;
-  FloorplanResult placed = skyline_place(device, needs);
+  const ColumnPrefix geometry(device);
+  FloorplanResult placed = skyline_place(geometry, needs);
   FloorplanStage stage = FloorplanStage::Skyline;
   if (!placed.success) {
-    const Floorplanner greedy(device, {options.strategy});
-    FloorplanResult greedy_placed = greedy.place(needs);
+    FloorplanResult greedy_placed =
+        greedy_place(geometry, needs, {options.strategy});
     if (greedy_placed.success) {
       placed = greedy_placed;
       stage = FloorplanStage::Greedy;
     } else if (options.use_annealer) {
       // Hand the greedy rung's partial placement to the annealer as a warm
       // start; regions it never reached start at random anchors.
-      placed = anneal_refine(device, needs, greedy_placed.placements,
+      placed = anneal_refine(geometry, needs, greedy_placed.placements,
                              options.annealing);
       stage = FloorplanStage::Annealed;
     } else {
@@ -230,10 +246,12 @@ PlacedFloorplan floorplan_scheme(const Device& device,
     }
   }
 
+  const TileCount need_sum = summed(needs);
   const auto fixit_walk = [&](FloorplanVerdict& verdict) {
     if (fixit_library == nullptr) return;
     for (const Device& d : fixit_library->devices()) {
-      if (deterministic_rungs_fit(d, needs, evaluation.static_resources,
+      if (deterministic_rungs_fit(d, needs, need_sum,
+                                  evaluation.static_resources,
                                   options.strategy)) {
         verdict.smallest_feasible_device = d.name();
         return;
@@ -244,7 +262,7 @@ PlacedFloorplan floorplan_scheme(const Device& device,
   if (!placed.success) {
     plan.verdict.kind = FloorplanVerdict::Kind::RegionUnplaceable;
     plan.verdict.failed_region = placed.failed_region;
-    pick_binding(device, needs, plan.verdict);
+    pick_binding(device, need_sum, plan.verdict);
     fixit_walk(plan.verdict);
     analysis::Diagnostic diag;
     diag.severity = analysis::Severity::Error;

@@ -9,6 +9,7 @@
 #include "device/device.hpp"
 #include "floorplan/annealing.hpp"
 #include "floorplan/floorplanner.hpp"
+#include "floorplan/geometry.hpp"
 
 namespace prpart {
 
@@ -23,6 +24,11 @@ namespace prpart {
 /// occupancy grid: a single left-to-right sweep per region, so the result
 /// is a pure function of (device, regions).
 FloorplanResult skyline_place(const Device& device,
+                              const std::vector<TileCount>& regions);
+
+/// skyline_place on a column prefix the caller already built for the
+/// device (the placement ladder shares one across its rungs).
+FloorplanResult skyline_place(const fpgeom::ColumnPrefix& geometry,
                               const std::vector<TileCount>& regions);
 
 /// Which rung of the placement ladder produced a floorplan.

@@ -16,8 +16,10 @@
 
 #include "cli/cli.hpp"
 #include "design/io_xml.hpp"
+#include "design/synthetic.hpp"
 #include "server/client.hpp"
 #include "synth/ip_library.hpp"
+#include "util/rng.hpp"
 
 namespace prpart::server {
 namespace {
@@ -71,6 +73,25 @@ PartitionRequest receiver_request(const std::string& id,
   req.budget = ResourceVec{6800, 64, 150};
   req.options = default_partitioner_options();
   req.options.search.max_move_evaluations = evals;
+  return req;
+}
+
+/// A deeply adaptive design (8 modules x 4 modes, 300 configurations) whose
+/// search runs ~200 ms on one job thread at the default effort: long enough
+/// that requests behind it on the same connection provably overtake it.
+PartitionRequest slow_request(const std::string& id) {
+  SyntheticOptions so;
+  so.min_modules = so.max_modules = 8;
+  so.min_modes = so.max_modes = 4;
+  so.max_clbs = 400;
+  so.min_configurations = 300;
+  Rng rng(1);
+  PartitionRequest req;
+  req.id = id;
+  req.design_xml =
+      design_to_xml(generate_synthetic(rng, CircuitClass::Logic, so).design);
+  req.budget = ResourceVec{30720, 456, 384};
+  req.options = default_partitioner_options();
   return req;
 }
 
@@ -706,7 +727,7 @@ TEST(ServerTest, PipelinedRequestsAnswerOutOfOrderById) {
   // client matches responses by id, not arrival order.
   TcpStream stream = TcpStream::connect("127.0.0.1", server.port());
   std::string burst =
-      partition_request_json(small_request("slow", 2'000'000)).dump() + "\n";
+      partition_request_json(slow_request("slow")).dump() + "\n";
   burst += "{\"type\":\"ping\",\"id\":\"p1\"}\n";
   burst += "{\"type\":\"ping\",\"id\":\"p2\"}\n";
   stream.write_all(burst);

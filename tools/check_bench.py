@@ -19,8 +19,10 @@ SIMD-dispatched batched kernel's speedup over the forced-scalar tier to
 stay >= 1.5x;
 BENCH_simulate.json requires the uniform-trace ranking agreement with
 Eq. 10 to be exactly 1.0; BENCH_floorplan.json requires every legal
-floorplan to cover its Eq. 10 estimate and the placement-true re-ranking
-to be identical across search thread counts (both exactly 1.0). Floors
+floorplan to cover its Eq. 10 estimate, the placement-true re-ranking
+to be identical across search thread counts, and every candidate's
+placement ladder output to equal the reference ladder's (all exactly
+1.0). Floors
 are exempt from the wall-clock skip
 (ratio floors compare runs on the same host), and a floor key missing
 from the current run is itself a failure.
@@ -59,6 +61,11 @@ FLOORS = {
     # floorplan subsystem, not perf metrics.
     "placement_dominates_agreement": 1.0,
     "thread_identity_agreement": 1.0,
+    # BENCH_floorplan.json: fraction of candidates whose production
+    # floorplan_scheme output (stage, rectangles, verdict, diagnostics,
+    # fix-it) equals the reference ladder's in oracle/. The prefix-sum
+    # geometry must never change a result.
+    "ladder_identity_agreement": 1.0,
 }
 
 # Host-dependent keys that are *deliberately* neither drift-checked nor
@@ -99,6 +106,7 @@ INFORMATIONAL = {
     "BENCH_floorplan.json": {
         "rerank_wall_seconds",
         "identity_wall_seconds",
+        "ladder_speedup",
     },
     "BENCH_serve.json": {
         "epoll.warm_c64.wall_seconds",
