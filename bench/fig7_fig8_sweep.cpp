@@ -6,15 +6,48 @@
 //
 // Series data is written to fig7.csv / fig8.csv in the working directory;
 // the console shows per-device aggregates (the figures' visual shape).
+// After the timed sweep, an untimed pass re-runs every design through the
+// production device walk and the reference walk in oracle/ and reports the
+// fraction that agree field by field (walk_identity_agreement, floored at
+// 1.0 by tools/check_bench.py).
+#include <atomic>
 #include <fstream>
 #include <iostream>
 #include <map>
 
 #include "bench/sweep_common.hpp"
+#include "oracle/partitioner_reference.hpp"
 #include "util/csv.hpp"
 #include "util/json.hpp"
+#include "util/parallel_for.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
+
+namespace {
+
+/// Runs every design of the sweep through both walks with the sweep's
+/// options and returns how many agree (walk_mismatch empty).
+std::size_t walk_identity_agree(std::uint64_t seed, std::size_t count) {
+  using namespace prpart;
+  const DeviceLibrary lib = DeviceLibrary::virtex5();
+  const auto suite = generate_synthetic_suite(seed, count);
+  const PartitionerOptions opt = bench::sweep_options();
+  std::atomic<std::size_t> agree{0};
+  parallel_for(suite.size(), default_thread_count(), [&](std::size_t i) {
+    const Design& design = suite[i].design;
+    const std::string mismatch = oracle::walk_mismatch(
+        design, partition_on_smallest_device(design, lib, opt),
+        oracle::partition_on_smallest_device_reference(design, lib, opt));
+    if (mismatch.empty())
+      ++agree;
+    else
+      std::cerr << "walk identity: design " << i << " differs in " << mismatch
+                << "\n";
+  });
+  return agree.load();
+}
+
+}  // namespace
 
 int main() {
   using namespace prpart;
@@ -130,6 +163,28 @@ int main() {
                      1)
             << " ms/design; paper: seconds to one minute per design)\n";
 
+  // Device-walk shortcuts (DESIGN.md §4f), summed over the sweep.
+  WalkStats walk;
+  for (const SweepRow& r : sweep.rows) {
+    walk.devices_skipped_infeasible += r.walk.devices_skipped_infeasible;
+    walk.searches_skipped_no_fit += r.walk.searches_skipped_no_fit;
+    walk.proofs_inconclusive += r.walk.proofs_inconclusive;
+    walk.searches_run += r.walk.searches_run;
+  }
+  std::cout << "  device walk: " << walk.devices_skipped_infeasible
+            << " devices skipped by the lower bound, "
+            << walk.searches_skipped_no_fit
+            << " searches skipped by the fit proof, "
+            << walk.proofs_inconclusive << " proofs inconclusive, "
+            << walk.searches_run << " searches run\n";
+  const std::size_t agree = walk_identity_agree(2013, count);
+  const double agreement =
+      sweep.designs == 0 ? 1.0
+                         : static_cast<double>(agree) /
+                               static_cast<double>(sweep.designs);
+  std::cout << "  walk identity vs reference: " << agree << "/"
+            << sweep.designs << "\n";
+
   // Machine-readable summary for CI trend tracking: summed frame counts per
   // scheme, the speedup ratios the paper argues from, and the wall clock.
   {
@@ -185,6 +240,20 @@ int main() {
     search.set("move_evaluations", json::Value(sme));
     search.set("states_recorded", json::Value(ssr));
     doc.set("search", search);
+    json::Value walk_doc = json::Value::object();
+    walk_doc.set("devices_skipped_infeasible",
+                 json::Value(static_cast<std::uint64_t>(
+                     walk.devices_skipped_infeasible)));
+    walk_doc.set("searches_skipped_no_fit",
+                 json::Value(static_cast<std::uint64_t>(
+                     walk.searches_skipped_no_fit)));
+    walk_doc.set("proofs_inconclusive",
+                 json::Value(static_cast<std::uint64_t>(
+                     walk.proofs_inconclusive)));
+    walk_doc.set("searches_run",
+                 json::Value(static_cast<std::uint64_t>(walk.searches_run)));
+    doc.set("walk", walk_doc);
+    doc.set("walk_identity_agreement", json::Value(agreement));
     doc.set("wall_seconds", json::Value(sweep.seconds));
     doc.set("ms_per_design",
             json::Value(sweep.seconds * 1e3 /
@@ -193,5 +262,6 @@ int main() {
     bench_json << doc.dump() << "\n";
     std::cout << "wrote BENCH_sweep.json\n";
   }
-  return 0;
+  // A walk that disagrees with the reference is a bug, not a slowdown.
+  return agree == sweep.designs ? 0 : 1;
 }

@@ -15,16 +15,18 @@ std::size_t sweep_design_count(std::size_t fallback) {
   return fallback;
 }
 
+PartitionerOptions sweep_options() {
+  PartitionerOptions opt;
+  opt.search.max_candidate_sets = 24;
+  opt.search.max_move_evaluations = 400'000;
+  return opt;
+}
+
 SweepResult run_sweep(std::uint64_t seed, std::size_t count) {
   const auto started = std::chrono::steady_clock::now();
   const DeviceLibrary lib = DeviceLibrary::virtex5();
   const auto suite = generate_synthetic_suite(seed, count);
-
-  PartitionerOptions opt;
-  // Sweep effort: enough for designs of 2-6 modules; the case-study benches
-  // use deeper settings.
-  opt.search.max_candidate_sets = 24;
-  opt.search.max_move_evaluations = 400'000;
+  const PartitionerOptions opt = sweep_options();
 
   SweepResult result;
   result.rows.resize(suite.size());
@@ -52,6 +54,7 @@ SweepResult run_sweep(std::uint64_t seed, std::size_t count) {
     row.search_units_pruned = pr.stats.units_pruned;
     row.search_move_evaluations = pr.stats.move_evaluations;
     row.search_states_recorded = pr.stats.states_recorded;
+    row.walk = dp.walk;
 
     row.modular_min_device = static_cast<std::size_t>(-1);
     for (std::size_t d = 0; d < lib.devices().size(); ++d) {

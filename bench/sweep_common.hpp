@@ -37,6 +37,9 @@ struct SweepRow {
   std::uint64_t search_units_pruned = 0;
   std::uint64_t search_move_evaluations = 0;
   std::uint64_t search_states_recorded = 0;
+
+  /// What the device walk skipped on the way to the chosen device.
+  WalkStats walk;
 };
 
 struct SweepResult {
@@ -50,6 +53,10 @@ struct SweepResult {
 /// Number of designs: $PRPART_DESIGNS when set, otherwise `fallback`.
 /// The default matches the paper's 1000-design evaluation (~10 s).
 std::size_t sweep_design_count(std::size_t fallback = 1000);
+
+/// The sweep's partitioner effort: enough for designs of 2-6 modules (the
+/// case-study benches use deeper settings).
+PartitionerOptions sweep_options();
 
 /// Runs the sweep, deterministic in `seed`.
 SweepResult run_sweep(std::uint64_t seed, std::size_t count);

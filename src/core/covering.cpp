@@ -63,4 +63,20 @@ CoverResult cover(const std::vector<BasePartition>& partitions,
   return result;
 }
 
+std::vector<CandidateSet> candidate_sets(
+    const std::vector<BasePartition>& partitions,
+    const ConnectivityMatrix& matrix, std::size_t max_sets,
+    const CancelToken* cancel) {
+  const std::vector<std::size_t> order = covering_order(partitions);
+  std::vector<CandidateSet> sets;
+  for (std::size_t skip = 0; skip < order.size(); ++skip) {
+    check_cancel(cancel);
+    if (sets.size() >= max_sets) break;
+    CoverResult cov = cover(partitions, matrix, order, skip);
+    if (!cov.complete) break;  // removals only make covering harder
+    sets.push_back(std::move(cov.selected));
+  }
+  return sets;
+}
+
 }  // namespace prpart

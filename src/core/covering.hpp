@@ -6,6 +6,7 @@
 
 #include "core/base_partition.hpp"
 #include "core/connectivity.hpp"
+#include "util/cancel.hpp"
 
 namespace prpart {
 
@@ -38,5 +39,22 @@ struct CoverResult {
 CoverResult cover(const std::vector<BasePartition>& partitions,
                   const ConnectivityMatrix& matrix,
                   std::span<const std::size_t> order, std::size_t skip);
+
+/// A candidate partition set: indices into the master partition list, in
+/// covering-selection order.
+using CandidateSet = std::vector<std::size_t>;
+
+/// The candidate partition sets the region-allocation search explores
+/// (§IV-C's outermost iteration): cover(order, skip) for skip = 0, 1, ...
+/// over covering_order(partitions), stopping at the first incomplete cover
+/// (removals only make covering harder) or after `max_sets` sets. Budget-
+/// independent, so a device walk enumerates them once per design; the
+/// search and the walk's fit proof both read this one list, so they can
+/// never disagree about which sets exist. Polls `cancel` (nullable) once
+/// per set.
+std::vector<CandidateSet> candidate_sets(
+    const std::vector<BasePartition>& partitions,
+    const ConnectivityMatrix& matrix, std::size_t max_sets,
+    const CancelToken* cancel = nullptr);
 
 }  // namespace prpart

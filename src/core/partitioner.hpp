@@ -69,25 +69,51 @@ PartitionerResult partition_design(const Design& design,
                                    const ResourceVec& budget,
                                    const PartitionerOptions& options = {});
 
+/// What the device walk decided without a search (DESIGN.md §4f).
+/// Deterministic: a pure function of the design, library and options.
+struct WalkStats {
+  /// Devices the single-region lower bound rules out, skipped unbuilt.
+  std::size_t devices_skipped_infeasible = 0;
+  /// Feasible devices whose search the fit proof showed would record no
+  /// fitting state, so the walk moved on without running it.
+  std::size_t searches_skipped_no_fit = 0;
+  /// Fit proofs that ran out of nodes; the search then ran as usual.
+  std::size_t proofs_inconclusive = 0;
+  /// Devices partitioned with a full search.
+  std::size_t searches_run = 0;
+};
+
 /// Result of the device-selection mode (§IV-C: the tool "can suggest the
 /// smallest FPGA suitable to implement the given design").
 struct DevicePartitionResult {
   /// Device the design was finally partitioned on.
   const Device* device = nullptr;
   std::size_t chosen_index = 0;
-  /// Smallest device whose capacity covers the single-region lower bound.
+  /// First device in library order whose capacity covers the single-region
+  /// lower bound.
   std::size_t first_feasible_index = 0;
   /// True when the search had to escalate past the first feasible device
   /// because only the single-region scheme fit there (§V: 201 of 1000
   /// designs "could not be alternatively arranged on the smallest FPGA").
   bool escalated = false;
   PartitionerResult result;
+  WalkStats walk;
 };
 
-/// Walks the library from the smallest device up: picks the first device
+/// Walks the library in library order (ascending size for virtex5();
+/// extended() appends reference_parts() after the largest Virtex-5, so
+/// its walk is not in size order past FX200T): picks the first device
 /// where the design is implementable at all, partitions there, and - when
 /// no scheme other than single-region is feasible - retries on the next
-/// larger device. Throws DeviceError when the design fits no device.
+/// feasible device. The last feasible device answers whatever fits there.
+/// Throws DeviceError when the design fits no device.
+///
+/// Devices whose answer is decided without a search are skipped: those the
+/// single-region bound rules out, and those before the last feasible one
+/// where prove_fit shows no grouping fits (`walk` counts both). The
+/// connectivity matrix, partitions, compatibility table and candidate sets
+/// are built once per design. Results equal partition_design's on the
+/// chosen device, byte for byte.
 DevicePartitionResult partition_on_smallest_device(
     const Design& design, const DeviceLibrary& library,
     const PartitionerOptions& options = {});

@@ -44,6 +44,11 @@ PartitionScheme make_static_scheme(
   return scheme;
 }
 
+ResourceVec single_region_footprint(const Design& design) {
+  return tiles_for(design.largest_configuration_area()).resources() +
+         design.static_base();
+}
+
 std::pair<PartitionScheme, SchemeEvaluation> single_region_scheme(
     const Design& design, const ConnectivityMatrix& matrix,
     const std::vector<BasePartition>& partitions, const ResourceVec& budget) {
@@ -81,7 +86,7 @@ std::pair<PartitionScheme, SchemeEvaluation> single_region_scheme(
   eval.worst_frames = nconf >= 2 ? report.frames : 0;
   eval.pr_resources = report.tiles.resources();
   eval.static_resources = design.static_base();
-  eval.total_resources = eval.pr_resources + eval.static_resources;
+  eval.total_resources = single_region_footprint(design);
   eval.fits = eval.total_resources.fits_in(budget);
   eval.regions.push_back(std::move(report));
   return {std::move(scheme), std::move(eval)};

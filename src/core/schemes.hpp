@@ -34,6 +34,12 @@ std::pair<PartitionScheme, SchemeEvaluation> single_region_scheme(
     const Design& design, const ConnectivityMatrix& matrix,
     const std::vector<BasePartition>& partitions, const ResourceVec& budget);
 
+/// Total resources of the single-region scheme: the largest configuration's
+/// area rounded up to whole tiles, plus the static base. This is the §IV-C
+/// lower bound: a budget it does not fit admits no PR scheme at all, so it
+/// decides PartitionerResult::feasible before anything is built.
+ResourceVec single_region_footprint(const Design& design);
+
 /// Index of the singleton base partition of `mode` in the master list;
 /// throws InternalError when absent (i.e. the mode is dead).
 std::size_t singleton_partition(const std::vector<BasePartition>& partitions,

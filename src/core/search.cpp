@@ -536,12 +536,14 @@ class Searcher {
  public:
   Searcher(const Design& design, const ConnectivityMatrix& matrix,
            const std::vector<BasePartition>& partitions,
-           const CompatibilityTable& compat, const ResourceVec& budget,
+           const CompatibilityTable& compat,
+           const std::vector<CandidateSet>& sets, const ResourceVec& budget,
            const SearchOptions& options)
       : design_(design),
         matrix_(matrix),
         partitions_(partitions),
         compat_(compat),
+        sets_(sets),
         budget_(budget),
         options_(options) {}
 
@@ -557,20 +559,16 @@ class Searcher {
     const unsigned threads =
         options_.threads != 0 ? options_.threads : default_thread_count();
 
-    // Phase 1 — enumerate the work: candidate partition sets (successive
-    // covering-list removals, §IV-C) and, per set, one unit for the
-    // unconstrained descent plus one per distinct valid first move.
-    const std::vector<std::size_t> order = covering_order(partitions_);
+    // Phase 1 — enumerate the work: per candidate partition set
+    // (candidate_sets, §IV-C), one unit for the unconstrained descent plus
+    // one per distinct valid first move.
     std::vector<State> initials;
     std::vector<Unit> units;
     std::vector<std::pair<std::size_t, std::size_t>> set_units;
-    for (std::size_t skip = 0; skip < order.size(); ++skip) {
+    for (const CandidateSet& candidate : sets_) {
       check_cancel(options_.cancel);
-      if (initials.size() >= options_.max_candidate_sets) break;
-      const CoverResult cov = cover(partitions_, matrix_, order, skip);
-      if (!cov.complete) break;  // removals only make covering harder
       State initial = initial_state(partitions_, compat_,
-                                    options_.pair_weights, cov.selected);
+                                    options_.pair_weights, candidate);
       const std::size_t set = initials.size();
       const std::size_t begin = units.size();
       units.push_back(Unit{set, std::nullopt});
@@ -803,6 +801,7 @@ class Searcher {
   const ConnectivityMatrix& matrix_;
   const std::vector<BasePartition>& partitions_;
   const CompatibilityTable& compat_;
+  const std::vector<CandidateSet>& sets_;
   const ResourceVec budget_;
   const SearchOptions options_;
 
@@ -835,7 +834,21 @@ SearchResult search_partitioning(const Design& design,
                                  const CompatibilityTable& compat,
                                  const ResourceVec& budget,
                                  const SearchOptions& options) {
-  return Searcher(design, matrix, partitions, compat, budget, options).run();
+  const std::vector<CandidateSet> sets = candidate_sets(
+      partitions, matrix, options.max_candidate_sets, options.cancel);
+  return search_partitioning(design, matrix, partitions, compat, sets, budget,
+                             options);
+}
+
+SearchResult search_partitioning(const Design& design,
+                                 const ConnectivityMatrix& matrix,
+                                 const std::vector<BasePartition>& partitions,
+                                 const CompatibilityTable& compat,
+                                 const std::vector<CandidateSet>& sets,
+                                 const ResourceVec& budget,
+                                 const SearchOptions& options) {
+  return Searcher(design, matrix, partitions, compat, sets, budget, options)
+      .run();
 }
 
 }  // namespace prpart

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "core/compatibility.hpp"
+#include "core/covering.hpp"
 #include "core/scheme.hpp"
 #include "util/cancel.hpp"
 
@@ -229,6 +230,19 @@ SearchResult search_partitioning(const Design& design,
                                  const ConnectivityMatrix& matrix,
                                  const std::vector<BasePartition>& partitions,
                                  const CompatibilityTable& compat,
+                                 const ResourceVec& budget,
+                                 const SearchOptions& options = {});
+
+/// The same search over candidate sets the caller already enumerated with
+/// candidate_sets(partitions, matrix, options.max_candidate_sets). The
+/// device walk enumerates them once per design and searches every device
+/// from the one list; the overload above is exactly this call after its
+/// own enumeration, so both return identical results.
+SearchResult search_partitioning(const Design& design,
+                                 const ConnectivityMatrix& matrix,
+                                 const std::vector<BasePartition>& partitions,
+                                 const CompatibilityTable& compat,
+                                 const std::vector<CandidateSet>& sets,
                                  const ResourceVec& budget,
                                  const SearchOptions& options = {});
 

@@ -74,7 +74,6 @@ void Design::index_modes() {
       column_to_ref_.push_back(
           {static_cast<std::uint32_t>(m), static_cast<std::uint32_t>(k + 1)});
       mode_area_.push_back(modules_[m].modes[k].area);
-      mode_label_.push_back(&modules_[m].modes[k].name);
       ++col;
     }
   }
@@ -110,8 +109,8 @@ const ResourceVec& Design::mode_area(std::size_t global_id) const {
 }
 
 const std::string& Design::mode_label(std::size_t global_id) const {
-  require(global_id < mode_label_.size(), "global mode id out of range");
-  return *mode_label_[global_id];
+  const ModeRef ref = mode_ref(global_id);
+  return modules_[ref.module].modes[ref.mode - 1].name;
 }
 
 const DynBitset& Design::config_modes(std::size_t c) const {

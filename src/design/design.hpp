@@ -102,7 +102,6 @@ class Design {
   std::vector<std::size_t> module_first_column_;
   std::vector<ModeRef> column_to_ref_;
   std::vector<ResourceVec> mode_area_;
-  std::vector<const std::string*> mode_label_;
   std::vector<DynBitset> config_modes_;
 };
 

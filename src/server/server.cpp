@@ -436,8 +436,17 @@ void Server::execute_job(Job& job, WorkerPool& pool, EvalScratch& scratch) {
       if (job.floorplan || (job.simulate && job.simulate->floorplan))
         device = library_.smallest_fitting(budget);
     } else {
-      DevicePartitionResult dp =
-          partition_on_smallest_device(job.design, library_, options);
+      DevicePartitionResult dp;
+      try {
+        dp = partition_on_smallest_device(job.design, library_, options);
+      } catch (const DeviceError&) {
+        // The lower bound ruled out every device before anything was built.
+        WalkStats walk;
+        walk.devices_skipped_infeasible = library_.devices().size();
+        stats_.walk_finished(walk);
+        throw;
+      }
+      stats_.walk_finished(dp.walk);
       device = dp.device;
       device_name = dp.device->name();
       budget = dp.device->capacity();

@@ -63,6 +63,16 @@ json::Value StatsSnapshot::to_json() const {
   fp.set("vetoes", json::Value(floorplan_vetoes));
   fp.set("overturns", json::Value(floorplan_overturns));
   v.set("floorplan", fp);
+  json::Value w = json::Value::object();
+  w.set("devices_skipped_infeasible",
+        json::Value(static_cast<std::uint64_t>(walk.devices_skipped_infeasible)));
+  w.set("searches_skipped_no_fit",
+        json::Value(static_cast<std::uint64_t>(walk.searches_skipped_no_fit)));
+  w.set("proofs_inconclusive",
+        json::Value(static_cast<std::uint64_t>(walk.proofs_inconclusive)));
+  w.set("searches_run",
+        json::Value(static_cast<std::uint64_t>(walk.searches_run)));
+  v.set("walk", w);
   return v;
 }
 
@@ -147,6 +157,14 @@ void ServerStats::search_finished(const SearchStats& stats) {
   search_signature_collapsed_configs_ += stats.signature_collapsed_configs;
 }
 
+void ServerStats::walk_finished(const WalkStats& walk) {
+  const MutexLock lock(mutex_);
+  walk_.devices_skipped_infeasible += walk.devices_skipped_infeasible;
+  walk_.searches_skipped_no_fit += walk.searches_skipped_no_fit;
+  walk_.proofs_inconclusive += walk.proofs_inconclusive;
+  walk_.searches_run += walk.searches_run;
+}
+
 void ServerStats::simulation_finished(std::uint64_t transitions,
                                       std::uint64_t frames) {
   const MutexLock lock(mutex_);
@@ -201,6 +219,7 @@ StatsSnapshot ServerStats::snapshot(std::size_t queue_depth,
   s.floorplan_candidates = floorplan_candidates_;
   s.floorplan_vetoes = floorplan_vetoes_;
   s.floorplan_overturns = floorplan_overturns_;
+  s.walk = walk_;
   return s;
 }
 

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstdint>
 
+#include "core/partitioner.hpp"
 #include "core/search.hpp"
 #include "util/json.hpp"
 #include "util/thread_annotations.hpp"
@@ -101,6 +102,9 @@ struct StatsSnapshot {
   std::uint64_t floorplan_candidates = 0;
   std::uint64_t floorplan_vetoes = 0;
   std::uint64_t floorplan_overturns = 0;
+  // Cumulative device-walk counters over every auto-device job the server
+  // executed (DESIGN.md §4f): what the walk decided without a search.
+  WalkStats walk;
 
   json::Value to_json() const;
   /// One-line rendering for the periodic server log.
@@ -124,6 +128,8 @@ class ServerStats {
   void job_queued_notice();
   /// Folds one executed job's search stats into the cumulative counters.
   void search_finished(const SearchStats& stats);
+  /// Folds one auto-device job's walk into the cumulative counters.
+  void walk_finished(const WalkStats& walk);
   /// Folds one simulate job's replay into the cumulative counters.
   void simulation_finished(std::uint64_t transitions, std::uint64_t frames);
   /// Folds one veto/re-rank pass into the cumulative counters.
@@ -166,6 +172,7 @@ class ServerStats {
   std::uint64_t floorplan_candidates_ PRPART_GUARDED_BY(mutex_) = 0;
   std::uint64_t floorplan_vetoes_ PRPART_GUARDED_BY(mutex_) = 0;
   std::uint64_t floorplan_overturns_ PRPART_GUARDED_BY(mutex_) = 0;
+  WalkStats walk_ PRPART_GUARDED_BY(mutex_);
   LatencyHistogram latencies_ PRPART_GUARDED_BY(mutex_);
 };
 

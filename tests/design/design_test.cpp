@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "design/builder.hpp"
 #include "util/status.hpp"
 
@@ -28,6 +30,16 @@ TEST(Design, GlobalModeIndexing) {
   EXPECT_EQ(d.mode_ref(2), (ModeRef{1, 1}));
   EXPECT_EQ(d.mode_label(1), "A2");
   EXPECT_EQ(d.mode_area(1), ResourceVec(200, 1, 0));
+}
+
+TEST(Design, CopyOutlivesTheOriginal) {
+  // Mode labels are looked up in the copy's own modules, never in the
+  // design it was copied from.
+  std::optional<Design> original(small_design());
+  const Design copy = *original;
+  original.reset();
+  EXPECT_EQ(copy.mode_label(0), "A1");
+  EXPECT_EQ(copy.mode_label(2), "B1");
 }
 
 TEST(Design, ConfigModesAsBitsets) {

@@ -502,6 +502,48 @@ TEST(ServerTest, StatsRequestReportsCounters) {
             resp.result.at("p50_latency_us").as_u64());
 }
 
+TEST(ServerTest, StatsReportWhatTheDeviceWalkSkipped) {
+  Server server(quiet_options());
+  server.start();
+  PartitionRequest req = small_request("auto");
+  req.budget.reset();  // auto device: walk the library
+  const json::Value request = partition_request_json(req);
+  const std::string cold = raw_exchange(server.port(), request);
+  const WalkStats after_cold = server.stats_snapshot().walk;
+  EXPECT_GE(after_cold.searches_run, 1u);
+
+  // A cache hit answers byte-identically and walks nothing.
+  EXPECT_EQ(raw_exchange(server.port(), request), cold);
+  const WalkStats after_hit = server.stats_snapshot().walk;
+  EXPECT_EQ(after_hit.searches_run, after_cold.searches_run);
+  EXPECT_EQ(after_hit.devices_skipped_infeasible,
+            after_cold.devices_skipped_infeasible);
+  // The counters stay out of the cached payload.
+  EXPECT_EQ(cold.find("searches_run"), std::string::npos);
+
+  // A design no device fits: every library device is skipped unbuilt.
+  PartitionRequest huge = req;
+  huge.id = "huge";
+  huge.design_xml = design_to_xml(
+      Design("huge", {0, 0, 0}, {{"X", {{"X1", {500000, 0, 0}}}}},
+             {{"Only", {1}}}));
+  Client client("127.0.0.1", server.port());
+  const ClientResponse resp = client.submit(huge);
+  ASSERT_FALSE(resp.ok);
+  EXPECT_EQ(resp.error_code, "infeasible");
+  const ClientResponse stats = client.stats();
+  ASSERT_TRUE(stats.ok);
+  const json::Value& walk = stats.result.at("walk");
+  EXPECT_EQ(walk.at("devices_skipped_infeasible").as_u64(),
+            after_hit.devices_skipped_infeasible +
+                DeviceLibrary::extended().devices().size());
+  EXPECT_EQ(walk.at("searches_run").as_u64(), after_hit.searches_run);
+  EXPECT_EQ(walk.at("searches_skipped_no_fit").as_u64(),
+            after_hit.searches_skipped_no_fit);
+  EXPECT_EQ(walk.at("proofs_inconclusive").as_u64(),
+            after_hit.proofs_inconclusive);
+}
+
 SimulateRequest simulate_request(const std::string& id,
                                  std::uint64_t steps = 200) {
   SimulateRequest req;

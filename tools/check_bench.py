@@ -22,7 +22,8 @@ Eq. 10 to be exactly 1.0; BENCH_floorplan.json requires every legal
 floorplan to cover its Eq. 10 estimate, the placement-true re-ranking
 to be identical across search thread counts, and every candidate's
 placement ladder output to equal the reference ladder's (all exactly
-1.0). Floors
+1.0); BENCH_sweep.json requires every design's device walk to equal the
+reference walk (walk_identity_agreement exactly 1.0). Floors
 are exempt from the wall-clock skip
 (ratio floors compare runs on the same host), and a floor key missing
 from the current run is itself a failure.
@@ -66,6 +67,11 @@ FLOORS = {
     # fix-it) equals the reference ladder's in oracle/. The prefix-sum
     # geometry must never change a result.
     "ladder_identity_agreement": 1.0,
+    # BENCH_sweep.json: fraction of sweep designs whose device walk
+    # (partition_on_smallest_device, which skips devices it can decide
+    # without a search) equals the reference walk in oracle/ field by field.
+    # The skips must never change a result.
+    "walk_identity_agreement": 1.0,
 }
 
 # Host-dependent keys that are *deliberately* neither drift-checked nor
@@ -175,9 +181,9 @@ def main():
                 failures.append(f"{path}: {cur:g} below the hard floor {floor:g}")
     # A floor can only vouch for what it measured: if the current run does
     # not report the key at all (stale binary, renamed field), fail loudly
-    # instead of silently passing. Baselines without the key (BENCH_sweep)
-    # are fine -- floors only bind documents that carry the metric in the
-    # committed baseline.
+    # instead of silently passing. Baselines without the key (e.g.
+    # BENCH_search for the agreement floors) are fine -- floors only bind
+    # documents that carry the metric in the committed baseline.
     for suffix, seen in floored.items():
         if not seen and any(p.endswith(suffix) for p in baseline):
             failures.append(f"{suffix}: floored key missing from current run")
