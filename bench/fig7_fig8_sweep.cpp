@@ -227,16 +227,18 @@ int main() {
     // Deterministic branch-and-bound effort counters summed over every
     // design's accepted search (thread-count independent, so the CI gate
     // can compare them against the committed baseline).
-    std::uint64_t su = 0, sp = 0, sme = 0, ssr = 0;
+    std::uint64_t su = 0, sp = 0, sps = 0, sme = 0, ssr = 0;
     for (const SweepRow* r : rows) {
       su += r->search_units;
       sp += r->search_units_pruned;
+      sps += r->search_units_pruned_sterile;
       sme += r->search_move_evaluations;
       ssr += r->search_states_recorded;
     }
     json::Value search = json::Value::object();
     search.set("units", json::Value(su));
     search.set("units_pruned", json::Value(sp));
+    search.set("units_pruned_sterile", json::Value(sps));
     search.set("move_evaluations", json::Value(sme));
     search.set("states_recorded", json::Value(ssr));
     doc.set("search", search);

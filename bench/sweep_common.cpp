@@ -52,6 +52,7 @@ SweepResult run_sweep(std::uint64_t seed, std::size_t count) {
     row.modular_fits = pr.modular.eval.fits;
     row.search_units = pr.stats.units;
     row.search_units_pruned = pr.stats.units_pruned;
+    row.search_units_pruned_sterile = pr.stats.units_pruned_sterile;
     row.search_move_evaluations = pr.stats.move_evaluations;
     row.search_states_recorded = pr.stats.states_recorded;
     row.walk = dp.walk;

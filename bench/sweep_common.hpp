@@ -35,6 +35,7 @@ struct SweepRow {
   // search — the branch-and-bound regression signal in BENCH_sweep.json.
   std::uint64_t search_units = 0;
   std::uint64_t search_units_pruned = 0;
+  std::uint64_t search_units_pruned_sterile = 0;
   std::uint64_t search_move_evaluations = 0;
   std::uint64_t search_states_recorded = 0;
 

@@ -336,7 +336,8 @@ int cmd_partition(const Args& args, std::ostream& out, std::ostream& err) {
     const SearchStats& s = t.result.stats;
     out << "\nSearch statistics:\n"
         << "  work units:       " << s.units << " (" << s.units_pruned
-        << " pruned by the lower bound)\n"
+        << " pruned by the lower bound, " << s.units_pruned_sterile
+        << " of them with no fitting completion)\n"
         << "  move evaluations: " << s.move_evaluations
         << (s.budget_exhausted ? " (budget exhausted)" : "") << "\n"
         << "  full evaluations: " << s.full_evaluations << " fresh, "

@@ -589,32 +589,32 @@ class Searcher {
     // Phase 1b — the branch-and-bound lower bounds. One admissible bound
     // per unit on the weighted total frames of every fitting completion of
     // its start state (the set's initial state pushed through the forced
-    // first move). A pure function of the unit, so the fan-out is
-    // deterministic by construction.
+    // first move): UnitBounds solves the bound exactly at the set's root
+    // and evaluates each first move in O(1) at the root's multipliers. A
+    // pure function of the unit, so the fan-out is deterministic by
+    // construction.
     std::vector<std::uint64_t> unit_lb;
     if (options_.use_bounding) {
       unit_lb.assign(units.size(), 0);
+      const std::uint64_t w_min = min_pair_weight(options_.pair_weights);
       parallel_for(options_.pool, initials.size(), threads, [&](std::size_t k) {
-        State s = initials[k];  // scratch copy, restored by undo below
+        const State& root = initials[k];
+        const UnitBounds bounds(root, design_.static_base(), budget_,
+                                options_.allow_static_promotion, w_min);
         for (std::size_t i = set_units[k].first; i < set_units[k].second;
              ++i) {
           check_cancel(options_.cancel);
           if (!units[i].first) {
-            unit_lb[i] = completion_lower_bound(
-                s, design_.static_base(), budget_,
-                options_.allow_static_promotion);
+            unit_lb[i] = bounds.root();
             continue;
           }
           const Move& m = *units[i].first;
           GroupCost cost;
-          if (m.kind == Move::Kind::Merge)
-            cost = merged_group_cost(s.groups[m.a], s.groups[m.b],
+          if (m.kind == Move::Kind::Merge &&
+              bounds.root() != kNoFittingCompletion)
+            cost = merged_group_cost(root.groups[m.a], root.groups[m.b],
                                      options_.pair_weights);
-          UndoRecord undo = apply_move(s, m, &cost);
-          unit_lb[i] = completion_lower_bound(s, design_.static_base(),
-                                              budget_,
-                                              options_.allow_static_promotion);
-          undo_move(s, undo);
+          unit_lb[i] = bounds.after(m, &cost);
         }
       });
     }
@@ -676,7 +676,10 @@ class Searcher {
             kept.size() >= keep && lb > kept.back().ttotal;
         if (sterile || dominated) {
           ++stats_.units_pruned;
-          if (!sterile) stats_.bound_gap_sum += lb - kept.back().ttotal;
+          if (sterile)
+            ++stats_.units_pruned_sterile;
+          else
+            stats_.bound_gap_sum += lb - kept.back().ttotal;
           any_unit = true;
           last_set = units[i].set;
           continue;

@@ -80,13 +80,16 @@ struct SearchOptions {
   bool use_cost_cache = true;
   /// Branch-and-bound pruning: drop a restart unit without running it when
   /// an admissible lower bound on every fitting completion of its start
-  /// state (completion_lower_bound, see DESIGN.md) proves it cannot enter
-  /// the final leaderboard. Pruning is sound — any thread count and either
-  /// setting of this switch return byte-identical schemes — unless the
-  /// evaluation budget runs out, in which case pruning spends the budget on
-  /// non-dominated units instead (equal or better results, still
-  /// deterministic per setting). Off reproduces the exhaustive unit
-  /// schedule; the property suite compares the two.
+  /// state (completion_lower_bound, see DESIGN.md §4c) proves it cannot
+  /// enter the final leaderboard. The bound charges what the state must
+  /// still pay to fit (merges that absorb groups, promotions) as well as
+  /// what promotions could remove, so over-budget starts are bounded too.
+  /// Pruning is sound — any thread count and either setting of this switch
+  /// return byte-identical schemes — unless the evaluation budget runs out,
+  /// in which case pruning spends the budget on non-dominated units instead
+  /// (equal or better results, still deterministic per setting). Off
+  /// reproduces the exhaustive unit schedule; the property suite compares
+  /// the two.
   bool use_bounding = true;
   /// Reuse merge costs across the restarts of one candidate set through a
   /// version-stamped per-worker move table instead of recomputing them for
@@ -155,6 +158,10 @@ struct SearchStats {
   /// evaluation budget: their completion lower bound exceeded the worst
   /// kept leaderboard entry (or proved no completion could fit).
   std::size_t units_pruned = 0;
+  /// The part of units_pruned whose start state provably has no fitting
+  /// completion at all (the bound returned kNoFittingCompletion), so it is
+  /// pruned against any leaderboard, even an empty one.
+  std::size_t units_pruned_sterile = 0;
   /// Bound-tightness accumulators. Over pruned units: the summed margin by
   /// which the lower bound beat the pruning threshold. Over units that
   /// contributed leaderboard entries: the summed bound vs the summed best

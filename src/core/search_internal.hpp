@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/base_partition.hpp"
@@ -200,32 +201,57 @@ bool kept_before(const Kept& a, const Kept& b);
 /// insertion order — the keystone of thread-count-independent results.
 void insert_kept(std::vector<Kept>& kept, Kept entry, std::size_t keep);
 
-/// completion_lower_bound's value when the state's static area already
-/// exceeds the weighted budget: no completion can fit, so the subtree is
-/// prunable against any leaderboard.
+/// completion_lower_bound's value when no completion of the state can fit
+/// the budget: the subtree is prunable against any leaderboard.
 constexpr std::uint64_t kNoFittingCompletion = ~std::uint64_t{0};
+
+/// 128-bit integers for the bound's exact rational arithmetic (a GCC/Clang
+/// extension; __extension__ keeps -Wpedantic quiet).
+__extension__ typedef __int128 Int128;
+
+/// Smallest off-diagonal entry of `weights`, or 1 for uniform weights
+/// (null). Every configuration pair straddling two disjoint groups costs at
+/// least this much, which prices the merges the fit-forcing term charges.
+std::uint64_t min_pair_weight(const PairWeights* weights);
 
 /// Admissible lower bound on the weighted total reconfiguration time
 /// (Eq. 10, scaled by SearchOptions::pair_weights when present) of every
 /// *fitting* completion of `s` — every state reachable from `s` through
-/// merge/promote moves whose total area fits `budget`.
+/// merge/promote moves whose total area fits `budget`. `min_pair_weight`
+/// is min_pair_weight(pair_weights).
 ///
-/// Derivation (DESIGN.md has the full argument):
-///  * merges only grow a region's Eq. 10 term (frames are monotone under
-///    the element-wise area max of Eq. 2, and merged groups inherit all
-///    reconfiguration pairs of Eq. 8), so the only way a completion can
-///    beat s.ttotal is by promoting groups to static;
-///  * the element-wise fit is relaxed to scalar projections (the combined
-///    area weights plus each resource alone); under a projection p, any
-///    fitting completion that keeps at least one region satisfies
-///      sum_{g in P} p(promote_area(g)) <= p(budget) - p(static area)
-///                                          - min_g p(footprint(g)),
-///    because regions only grow under merges, while the promote-everything
-///    completion needs the summed promotion price within the capacity;
-///  * the best removable contribution under that scalar constraint is
-///    bounded by the fractional-knapsack (Dantzig) optimum, computed here
-///    exactly in integer arithmetic; the final bound is the maximum over
-///    the projections.
+/// The element-wise fit is relaxed to four scalar projections p (the
+/// combined area weights, then each resource alone); a fitting completion
+/// satisfies every one, so each yields a bound and the result is their
+/// maximum. Two admissible terms per projection, combined by max:
+///
+///  * Knapsack term. Merges only grow a region's Eq. 10 term (frames are
+///    monotone under Eq. 2's element-wise max, and merged groups inherit
+///    all reconfiguration pairs of Eq. 8), so a completion can beat
+///    s.ttotal only by promoting groups. Some region survives unless
+///    everything is promoted, and regions only grow, so promotions have at
+///    most p(budget) - p(static) - min_g p(footprint(g)) of room; the best
+///    contribution they can remove is at most the fractional-knapsack
+///    (Dantzig) optimum.
+///  * Fit-forcing term. In a completion each alive group g ends as the
+///    head of its final region, absorbed into another group's region, or
+///    promoted. A region's footprint is at least its head's, so with
+///    t = p(footprint), a = p(promote_area) and the projected excess
+///    E = sum_g t_g + p(static) - p(budget), every fitting completion has
+///      sum_absorbed t_g + sum_promoted (t_g - a_g) >= E,
+///    and its total is at least ttotal - sum_promoted c_g
+///    + sum_absorbed k_g, where k_g = w_min * n_g * nu_g * max(f_g, phi_g)
+///    charges the pairs g straddles with its head (n = occupancy count,
+///    f = frames, nu/phi = smallest n/f among alive groups disjoint from g;
+///    with none, g cannot be absorbed). Relaxing the roles to fractions
+///    gives an LP whose dual is
+///      ttotal + max_{lambda >= 0} [lambda E + sum_g min(0, k_g - lambda t_g,
+///                                             -c_g - lambda (t_g - a_g))],
+///    concave and piecewise linear; its maximum is found exactly over the
+///    O(G) breakpoints in O(G log G) integer arithmetic and rounded down
+///    (nu/phi cost O(G^2) disjointness tests, which UnitBounds pays once
+///    per candidate set). When no lambda suffices (the groups cannot shed
+///    E at all), no completion fits.
 ///
 /// The bound is monotone along any decision path: applying a move to `s`
 /// never lowers it (a subtree pruned at its root stays prunable all the way
@@ -233,6 +259,57 @@ constexpr std::uint64_t kNoFittingCompletion = ~std::uint64_t{0};
 std::uint64_t completion_lower_bound(const State& s,
                                      const ResourceVec& static_base,
                                      const ResourceVec& budget,
-                                     bool allow_static_promotion);
+                                     bool allow_static_promotion,
+                                     std::uint64_t min_pair_weight);
+
+/// completion_lower_bound for the work units of one candidate set: the
+/// set's root (an initial_state, where no group contributes yet) and the
+/// root pushed through one forced first move. The constructor bounds the
+/// root exactly, keeping each projection's optimal multiplier lambda* and
+/// each group's nu/phi. after() then bounds a unit start in O(1): weak
+/// duality makes any lambda admissible, and the root's nu/phi stay lower
+/// bounds below it, because occupancies, occupancy counts and frames only
+/// grow under merges. The knapsack term is exact there, since only the
+/// forced merge contributes. A root without fitting completions makes
+/// every unit of the set kNoFittingCompletion.
+class UnitBounds {
+ public:
+  /// `root` must outlive this object and stay unmodified.
+  UnitBounds(const State& root, const ResourceVec& static_base,
+             const ResourceVec& budget, bool allow_static_promotion,
+             std::uint64_t min_pair_weight);
+
+  /// completion_lower_bound(root, ...).
+  std::uint64_t root() const { return root_bound_; }
+
+  /// A lower bound on the root pushed through `first`, never above
+  /// completion_lower_bound of that state. For merges, `merge_cost` is the
+  /// merged_group_cost of the two groups; promotes ignore it.
+  std::uint64_t after(const Move& first, const GroupCost* merge_cost) const;
+
+ private:
+  /// One projection's view of the root.
+  struct Projected {
+    Int128 lambda_num = 0;  ///< lambda* = lambda_num / lambda_den
+    Int128 lambda_den = 1;
+    Int128 excess = 0;      ///< E
+    Int128 value_sum = 0;   ///< sum_g lambda_den * term_g(lambda*)
+    Int128 save_sum = 0;    ///< sum_g largest save of g's roles
+    std::vector<Int128> value;  ///< per group: lambda_den * term(lambda*)
+    std::vector<Int128> save;   ///< per group: largest save of its roles
+    std::uint64_t pbudget = 0, pstatic = 0, total_price = 0;
+    /// The three smallest alive footprints as (value, group), for the
+    /// knapsack term's surviving-region floor after one move.
+    std::pair<std::uint64_t, std::size_t> smallest[3] = {};
+  };
+
+  const State& root_;
+  bool allow_static_promotion_;
+  std::uint64_t min_pair_weight_;
+  std::uint64_t root_bound_ = 0;
+  std::vector<std::uint64_t> nu_, phi_;  ///< per group; see above
+  std::vector<bool> absorbable_;
+  std::vector<Projected> proj_;
+};
 
 }  // namespace prpart::search_internal

@@ -377,6 +377,9 @@ json::Value partition_result_json(const Design& design,
             json::Value(static_cast<std::uint64_t>(result.stats.units)));
   stats.set("units_pruned",
             json::Value(static_cast<std::uint64_t>(result.stats.units_pruned)));
+  stats.set("units_pruned_sterile",
+            json::Value(static_cast<std::uint64_t>(
+                result.stats.units_pruned_sterile)));
   stats.set("bound_gap_sum", json::Value(result.stats.bound_gap_sum));
   stats.set("bound_lb_sum", json::Value(result.stats.bound_lb_sum));
   stats.set("bound_best_sum", json::Value(result.stats.bound_best_sum));

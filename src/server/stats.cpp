@@ -45,6 +45,7 @@ json::Value StatsSnapshot::to_json() const {
   json::Value search = json::Value::object();
   search.set("units", json::Value(search_units));
   search.set("units_pruned", json::Value(search_units_pruned));
+  search.set("units_pruned_sterile", json::Value(search_units_pruned_sterile));
   search.set("move_evaluations", json::Value(search_move_evaluations));
   search.set("full_evaluations", json::Value(search_full_evaluations));
   search.set("moves_rescored", json::Value(search_moves_rescored));
@@ -92,6 +93,8 @@ std::string StatsSnapshot::log_line() const {
          " p99_us=" + std::to_string(p99_latency_us) +
          " search_units=" + std::to_string(search_units) +
          " search_pruned=" + std::to_string(search_units_pruned) +
+         " search_pruned_sterile=" +
+         std::to_string(search_units_pruned_sterile) +
          " simulations=" + std::to_string(simulations) +
          " floorplans=" + std::to_string(floorplans) +
          " floorplan_vetoes=" + std::to_string(floorplan_vetoes) +
@@ -150,6 +153,7 @@ void ServerStats::search_finished(const SearchStats& stats) {
   const MutexLock lock(mutex_);
   search_units_ += stats.units;
   search_units_pruned_ += stats.units_pruned;
+  search_units_pruned_sterile_ += stats.units_pruned_sterile;
   search_move_evaluations_ += stats.move_evaluations;
   search_full_evaluations_ += stats.full_evaluations;
   search_moves_rescored_ += stats.moves_rescored;
@@ -207,6 +211,7 @@ StatsSnapshot ServerStats::snapshot(std::size_t queue_depth,
   s.p99_latency_us = latencies_.percentile(0.99);
   s.search_units = search_units_;
   s.search_units_pruned = search_units_pruned_;
+  s.search_units_pruned_sterile = search_units_pruned_sterile_;
   s.search_move_evaluations = search_move_evaluations_;
   s.search_full_evaluations = search_full_evaluations_;
   s.search_moves_rescored = search_moves_rescored_;

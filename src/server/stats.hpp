@@ -84,6 +84,7 @@ struct StatsSnapshot {
   // the branch-and-bound pruning saved.
   std::uint64_t search_units = 0;
   std::uint64_t search_units_pruned = 0;
+  std::uint64_t search_units_pruned_sterile = 0;  ///< part of the above
   std::uint64_t search_move_evaluations = 0;
   std::uint64_t search_full_evaluations = 0;
   std::uint64_t search_moves_rescored = 0;
@@ -159,6 +160,7 @@ class ServerStats {
   std::uint64_t latency_count_ PRPART_GUARDED_BY(mutex_) = 0;
   std::uint64_t search_units_ PRPART_GUARDED_BY(mutex_) = 0;
   std::uint64_t search_units_pruned_ PRPART_GUARDED_BY(mutex_) = 0;
+  std::uint64_t search_units_pruned_sterile_ PRPART_GUARDED_BY(mutex_) = 0;
   std::uint64_t search_move_evaluations_ PRPART_GUARDED_BY(mutex_) = 0;
   std::uint64_t search_full_evaluations_ PRPART_GUARDED_BY(mutex_) = 0;
   std::uint64_t search_moves_rescored_ PRPART_GUARDED_BY(mutex_) = 0;

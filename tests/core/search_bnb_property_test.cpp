@@ -22,8 +22,10 @@
 #include <vector>
 
 #include "core/clustering.hpp"
+#include "core/partitioner.hpp"
 #include "core/result_io.hpp"
 #include "design/synthetic.hpp"
+#include "device/device.hpp"
 #include "synth/ip_library.hpp"
 #include "tests/core/example_designs.hpp"
 #include "util/cancel.hpp"
@@ -80,8 +82,9 @@ std::string result_fingerprint(Harness& h, const ResourceVec& budget,
 }
 
 /// Bounded vs exhaustive on one configuration. Byte-identical when the
-/// evaluation budget did not bind; never worse when it did.
-void expect_bounding_invisible(Harness& h, const ResourceVec& budget,
+/// evaluation budget did not bind; never worse when it did. Returns whether
+/// the budget bound either search.
+bool expect_bounding_invisible(Harness& h, const ResourceVec& budget,
                                SearchOptions opt) {
   opt.use_bounding = false;
   const SearchResult exhaustive = h.run(budget, opt);
@@ -92,7 +95,7 @@ void expect_bounding_invisible(Harness& h, const ResourceVec& budget,
       !bounded.stats.budget_exhausted) {
     EXPECT_EQ(result_fingerprint(h, budget, bounded),
               result_fingerprint(h, budget, exhaustive));
-    return;
+    return false;
   }
   // Budget bound: pruning redirects evaluations to non-dominated units, so
   // the bounded search explores a superset of the useful space.
@@ -101,6 +104,7 @@ void expect_bounding_invisible(Harness& h, const ResourceVec& budget,
     EXPECT_LE(bounded.alternatives.front().total_frames,
               exhaustive.alternatives.front().total_frames);
   }
+  return true;
 }
 
 PairWeights random_weights(std::size_t n, Rng& rng) {
@@ -154,6 +158,36 @@ TEST_P(SearchBnbSeeds, SyntheticDesignsMatchExhaustive) {
 
 INSTANTIATE_TEST_SUITE_P(SyntheticSeeds, SearchBnbSeeds,
                          ::testing::Range<std::uint64_t>(0, 10));
+
+TEST(SearchBnbProperty, ServeScaleSearchesMatchExhaustive) {
+  // The serve defaults (48 candidate sets, 2M evaluations) on the device
+  // the walk picks from the extended library, where the fit-forcing bound
+  // prunes most: 16 synthetic designs, four of each class.
+  const DeviceLibrary library = DeviceLibrary::extended();
+  PartitionerOptions walk;
+  walk.search.max_candidate_sets = 48;
+  walk.search.max_move_evaluations = 2'000'000;
+  for (SyntheticDesign& sd : generate_synthetic_suite(1013, 16)) {
+    const DevicePartitionResult chosen =
+        partition_on_smallest_device(sd.design, library, walk);
+    const ResourceVec budget = chosen.device->capacity();
+    Harness h(std::move(sd.design));
+    SearchOptions opt = walk.search;
+    opt.threads = 2;
+    expect_bounding_invisible(h, budget, opt);
+  }
+
+  // One budget-binding run at the same scale: pruning may only help.
+  Rng rng(1013);
+  Harness h(generate_synthetic(rng, CircuitClass::DspAndMemory).design);
+  const ResourceVec budget =
+      partition_on_smallest_device(h.design, library, walk)
+          .device->capacity();
+  SearchOptions opt = walk.search;
+  opt.max_move_evaluations = 20'000;
+  EXPECT_TRUE(expect_bounding_invisible(h, budget, opt))
+      << "the evaluation budget did not bind";
+}
 
 TEST(SearchBnbProperty, PruningActuallyFires) {
   // The bound must earn its keep somewhere: across the paper example and

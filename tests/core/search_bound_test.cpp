@@ -1,12 +1,16 @@
 // White-box contract of the branch-and-bound completion lower bound
-// (search_internal::completion_lower_bound):
+// (search_internal::completion_lower_bound) and of its per-unit evaluation
+// at the candidate set's root multipliers (search_internal::UnitBounds):
 //
 //  * admissibility — the bound never exceeds the (weighted) Eq. 10 total of
 //    any *fitting* state reachable from the bounded state, checked against
 //    randomised move playouts whose totals are themselves cross-checked
-//    against the evaluate_scheme oracle;
+//    against the evaluate_scheme oracle, and against the exact optimum of
+//    optimal_partitioning;
 //  * monotonicity — applying any move never lowers the bound, so a pruned
 //    subtree stays pruned (the soundness keystone of the search's pruning);
+//  * the root-multiplier evaluation of a unit start never exceeds the exact
+//    bound of that state and never undercuts the root's exact bound;
 //  * the undo algebra — apply_move/undo_move restore the search state
 //    exactly, which the incremental evaluation relies on.
 #include "core/search_internal.hpp"
@@ -18,6 +22,7 @@
 
 #include "core/clustering.hpp"
 #include "core/covering.hpp"
+#include "core/optimal.hpp"
 #include "core/scheme.hpp"
 #include "design/synthetic.hpp"
 #include "tests/core/example_designs.hpp"
@@ -41,12 +46,25 @@ struct Harness {
         partitions(enumerate_base_partitions(design, matrix)),
         compat(matrix, partitions) {}
 
-  /// Initial state of the first (complete) candidate partition set.
-  si::State initial(const PairWeights* weights = nullptr) const {
+  /// The first (complete) candidate partition set.
+  std::vector<std::size_t> candidate() const {
     const std::vector<std::size_t> order = covering_order(partitions);
     const CoverResult cov = cover(partitions, matrix, order, 0);
     EXPECT_TRUE(cov.complete);
-    return si::initial_state(partitions, compat, weights, cov.selected);
+    return cov.selected;
+  }
+
+  /// Initial state of the first candidate partition set.
+  si::State initial(const PairWeights* weights = nullptr) const {
+    return si::initial_state(partitions, compat, weights, candidate());
+  }
+
+  std::uint64_t bound(const si::State& s, const ResourceVec& budget,
+                      bool allow_promotion,
+                      const PairWeights* weights = nullptr) const {
+    return si::completion_lower_bound(s, design.static_base(), budget,
+                                      allow_promotion,
+                                      si::min_pair_weight(weights));
   }
 
   ResourceVec slack_budget() const {
@@ -71,15 +89,21 @@ std::vector<si::Move> valid_moves(const si::State& s, bool allow_promotion) {
   return out;
 }
 
+GroupCost move_cost(const si::State& s, const si::Move& m,
+                    const PairWeights* weights) {
+  GroupCost cost;
+  if (m.kind == si::Move::Kind::Merge)
+    cost = si::merged_group_cost(s.groups[m.a], s.groups[m.b], weights);
+  return cost;
+}
+
 void apply_random_move(si::State& s, Rng& rng, bool allow_promotion,
                        const PairWeights* weights,
                        std::vector<si::UndoRecord>* undo_log = nullptr) {
   const std::vector<si::Move> moves = valid_moves(s, allow_promotion);
   ASSERT_FALSE(moves.empty());
   const si::Move m = moves[rng.below(moves.size())];
-  GroupCost cost;
-  if (m.kind == si::Move::Kind::Merge)
-    cost = si::merged_group_cost(s.groups[m.a], s.groups[m.b], weights);
+  GroupCost cost = move_cost(s, m, weights);
   si::UndoRecord undo = si::apply_move(s, m, &cost);
   if (undo_log) undo_log->push_back(std::move(undo));
 }
@@ -92,9 +116,33 @@ PairWeights random_weights(std::size_t n, Rng& rng) {
   return w;
 }
 
+/// UnitBounds at the root of `h`'s first candidate set: the root's bound is
+/// the exact one, and every unit start's root-multiplier bound lies between
+/// the root's exact bound (monotonicity) and the start's own exact bound.
+void check_unit_bounds(Harness& h, const ResourceVec& budget,
+                       bool allow_promotion, const PairWeights* weights) {
+  const si::State s = h.initial(weights);
+  const si::UnitBounds units(s, h.design.static_base(), budget,
+                             allow_promotion, si::min_pair_weight(weights));
+  const std::uint64_t root = h.bound(s, budget, allow_promotion, weights);
+  ASSERT_EQ(units.root(), root);
+  for (const si::Move& m : valid_moves(s, allow_promotion)) {
+    GroupCost cost = move_cost(s, m, weights);
+    const std::uint64_t fixed = units.after(m, &cost);
+    si::State start = s;
+    si::apply_move(start, m, &cost);
+    const std::uint64_t exact =
+        h.bound(start, budget, allow_promotion, weights);
+    EXPECT_LE(fixed, exact) << "root multipliers beat the exact bound";
+    EXPECT_GE(fixed, root) << "unit bound fell below its root's";
+  }
+}
+
 /// Walks one random move path to the end, checking at every step that
 ///  * the bound is monotone along the path,
 ///  * every prefix's bound admits every fitting suffix state,
+///  * the first move's root-multiplier bound admits every fitting suffix
+///    state and stays at or below the exact bound of the state it bounds,
 ///  * the incremental ttotal matches the evaluate_scheme oracle.
 void check_playout(Harness& h, const ResourceVec& budget, Rng& rng,
                    bool allow_promotion, const PairWeights* weights,
@@ -102,11 +150,14 @@ void check_playout(Harness& h, const ResourceVec& budget, Rng& rng,
   si::State s = h.initial(weights);
   std::vector<std::uint64_t> bounds;    // lb of every prefix state
   std::vector<std::uint64_t> fitting;   // ttotal of every fitting state
+  std::optional<std::uint64_t> unit_lb;  // root-multiplier bound, 1st move
   const auto visit = [&](const si::State& state) {
-    const std::uint64_t lb = si::completion_lower_bound(
-        state, h.design.static_base(), budget, allow_promotion);
+    const std::uint64_t lb = h.bound(state, budget, allow_promotion, weights);
     if (!bounds.empty()) {
       EXPECT_GE(lb, bounds.back()) << "bound decreased along a move path";
+    }
+    if (unit_lb && bounds.size() == 1) {
+      EXPECT_LE(*unit_lb, lb) << "root multipliers beat the exact bound";
     }
     // Admissibility of every earlier prefix against this state, and of this
     // state against itself (a state is its own completion).
@@ -114,6 +165,10 @@ void check_playout(Harness& h, const ResourceVec& budget, Rng& rng,
     if (fits) {
       for (std::uint64_t earlier : bounds)
         EXPECT_LE(earlier, state.ttotal) << "bound exceeded a completion";
+      if (unit_lb) {
+        EXPECT_LE(*unit_lb, state.ttotal)
+            << "unit bound exceeded a completion";
+      }
       EXPECT_NE(lb, si::kNoFittingCompletion)
           << "bound declared a fitting state unreachable";
       EXPECT_LE(lb, state.ttotal);
@@ -132,6 +187,18 @@ void check_playout(Harness& h, const ResourceVec& budget, Rng& rng,
     EXPECT_EQ(state.ttotal, expected);
   };
   visit(s);
+  const std::vector<si::Move> firsts = valid_moves(s, allow_promotion);
+  if (!firsts.empty()) {
+    // The first move is bounded at the root's multipliers, as the search's
+    // phase 1b bounds a unit, before it is applied.
+    const si::UnitBounds units(s, h.design.static_base(), budget,
+                               allow_promotion, si::min_pair_weight(weights));
+    const si::Move m = firsts[rng.below(firsts.size())];
+    GroupCost cost = move_cost(s, m, weights);
+    unit_lb = units.after(m, &cost);
+    si::apply_move(s, m, &cost);
+    visit(s);
+  }
   while (!valid_moves(s, allow_promotion).empty()) {
     apply_random_move(s, rng, allow_promotion, weights);
     visit(s);
@@ -139,26 +206,54 @@ void check_playout(Harness& h, const ResourceVec& budget, Rng& rng,
   if (fitting_states) *fitting_states += fitting.size();
 }
 
+// Tight budgets exercise the knapsack capacity, the fit-forcing term and
+// the sterile detection; the unconstrained budget guarantees fitting states
+// so the admissibility leg is never vacuous.
+constexpr ResourceVec kUnconstrained{100000, 1000, 1000};
+
 TEST(SearchBound, InitialStateBoundIsZero) {
+  // A fitting initial state is its own completion at total 0.
   Harness h(paper_example());
   const si::State s = h.initial();
   EXPECT_EQ(s.ttotal, 0u);
-  EXPECT_EQ(si::completion_lower_bound(s, h.design.static_base(),
-                                       h.slack_budget(), true),
-            0u);
+  ASSERT_TRUE(s.total_res(h.design.static_base()).fits_in(kUnconstrained));
+  EXPECT_EQ(h.bound(s, kUnconstrained, true), 0u);
 }
 
 TEST(SearchBound, PromotionDisabledBoundIsTheCurrentTotal) {
+  // On fitting states without promotions, merges only add: the bound is
+  // the current total, neither more nor less.
   Harness h(paper_example());
   Rng rng(7);
   si::State s = h.initial();
   for (int step = 0; step < 3 && !valid_moves(s, false).empty(); ++step) {
     apply_random_move(s, rng, /*allow_promotion=*/false, nullptr);
-    EXPECT_EQ(si::completion_lower_bound(s, h.design.static_base(),
-                                         h.slack_budget(), false),
-              s.ttotal);
+    ASSERT_TRUE(s.total_res(h.design.static_base()).fits_in(kUnconstrained));
+    EXPECT_EQ(h.bound(s, kUnconstrained, false), s.ttotal);
   }
   EXPECT_GT(s.ttotal, 0u);  // the path above must have merged something
+}
+
+TEST(SearchBound, OverBudgetInitialStateIsChargedTheMergesItMustMake) {
+  // The initial state has total 0 but does not fit: every fitting
+  // completion has to absorb or promote, which the fit-forcing term
+  // prices. The bound is positive yet never above the exact optimum.
+  for (const bool allow_promotion : {true, false}) {
+    Harness h(paper_example());
+    const ResourceVec budget{900, 8, 16};
+    const si::State s = h.initial();
+    ASSERT_FALSE(s.total_res(h.design.static_base()).fits_in(budget));
+    OptimalOptions opt;
+    opt.allow_static_promotion = allow_promotion;
+    const OptimalResult best = optimal_partitioning(
+        h.design, h.matrix, h.partitions, h.compat, budget, h.candidate(),
+        opt);
+    ASSERT_TRUE(best.feasible);
+    ASSERT_FALSE(best.exhausted);
+    const std::uint64_t lb = h.bound(s, budget, allow_promotion);
+    EXPECT_GT(lb, 0u);
+    EXPECT_LE(lb, best.eval.total_frames);
+  }
 }
 
 TEST(SearchBound, OversizedStaticProvesNoFittingCompletion) {
@@ -170,20 +265,13 @@ TEST(SearchBound, OversizedStaticProvesNoFittingCompletion) {
   si::UndoRecord undo =
       si::apply_move(s, si::Move{si::Move::Kind::Promote, 0, 0}, &unused);
   const ResourceVec tiny{1, 0, 0};
-  EXPECT_EQ(si::completion_lower_bound(s, h.design.static_base(), tiny, true),
-            si::kNoFittingCompletion);
+  EXPECT_EQ(h.bound(s, tiny, true), si::kNoFittingCompletion);
   // And it stays absorbed after further moves (monotonicity's edge case).
   Rng rng(3);
   apply_random_move(s, rng, true, nullptr);
-  EXPECT_EQ(si::completion_lower_bound(s, h.design.static_base(), tiny, true),
-            si::kNoFittingCompletion);
+  EXPECT_EQ(h.bound(s, tiny, true), si::kNoFittingCompletion);
   (void)undo;
 }
-
-// Tight budgets exercise the knapsack capacity and the sterile detection;
-// the unconstrained budget guarantees fitting states so the admissibility
-// leg is never vacuous.
-constexpr ResourceVec kUnconstrained{100000, 1000, 1000};
 
 TEST(SearchBound, PaperExampleAdmissibleAndMonotone) {
   Harness h(paper_example());
@@ -196,6 +284,9 @@ TEST(SearchBound, PaperExampleAdmissibleAndMonotone) {
                   nullptr, &fitting);
   }
   EXPECT_GT(fitting, 0u) << "no playout visited a fitting state";
+  check_unit_bounds(h, {900, 8, 16}, true, nullptr);
+  check_unit_bounds(h, {900, 8, 16}, false, nullptr);
+  check_unit_bounds(h, kUnconstrained, true, nullptr);
 }
 
 TEST(SearchBound, WeightedPlayoutsAdmissibleAndMonotone) {
@@ -206,8 +297,33 @@ TEST(SearchBound, WeightedPlayoutsAdmissibleAndMonotone) {
     const PairWeights w = random_weights(h.matrix.configs(), rng);
     check_playout(h, kUnconstrained, rng, true, &w, &fitting);
     check_playout(h, {900, 8, 16}, rng, true, &w, &fitting);
+    check_unit_bounds(h, {900, 8, 16}, true, &w);
   }
   EXPECT_GT(fitting, 0u) << "no playout visited a fitting state";
+}
+
+TEST(SearchBound, AllZeroWeightsBoundIsZero) {
+  // Every completion totals 0 under all-zero weights, so every state that
+  // can still fit must be bounded by exactly 0.
+  Harness h(paper_example());
+  const std::size_t n = h.matrix.configs();
+  const PairWeights zero(n, std::vector<std::uint32_t>(n, 0));
+  ASSERT_EQ(si::min_pair_weight(&zero), 0u);
+  std::size_t fitting = 0;
+  for (std::uint64_t seed = 0; seed < 6; ++seed) {
+    Rng rng(300 + seed);
+    check_playout(h, {900, 8, 16}, rng, true, &zero, &fitting);
+    check_playout(h, h.slack_budget(), rng, true, &zero, &fitting);
+    si::State s = h.initial(&zero);
+    EXPECT_EQ(h.bound(s, kUnconstrained, true, &zero), 0u);
+    while (!valid_moves(s, true).empty()) {
+      apply_random_move(s, rng, true, &zero);
+      EXPECT_EQ(s.ttotal, 0u);
+      EXPECT_EQ(h.bound(s, kUnconstrained, true, &zero), 0u);
+    }
+  }
+  EXPECT_GT(fitting, 0u) << "no playout visited a fitting state";
+  check_unit_bounds(h, {900, 8, 16}, true, &zero);
 }
 
 TEST(SearchBound, SyntheticPlayoutsAdmissibleAndMonotone) {
@@ -221,6 +337,8 @@ TEST(SearchBound, SyntheticPlayoutsAdmissibleAndMonotone) {
     Rng wrng(900 + seed);
     const PairWeights w = random_weights(h.matrix.configs(), wrng);
     check_playout(h, h.slack_budget(), wrng, true, &w, &fitting);
+    check_unit_bounds(h, h.slack_budget(), true, nullptr);
+    check_unit_bounds(h, h.slack_budget(), true, &w);
   }
   EXPECT_GT(fitting, 0u) << "no playout visited a fitting state";
 }

@@ -763,16 +763,25 @@ TEST(ServerTest, PipelinedRequestsAnswerOutOfOrderById) {
   Server server(opt);
   server.start();
 
-  // One connection, three requests in a single write: a slow partition
-  // followed by two pings. The pings are answered inline by the admission
-  // workers while the search still runs, so they overtake the job — the
-  // client matches responses by id, not arrival order.
+  // One connection, three requests: a slow partition followed by two
+  // pings. The pings are answered inline by the admission workers while the
+  // search still runs, so they overtake the job — the client matches
+  // responses by id, not arrival order. They are sent only once a stats
+  // request on a second connection shows the worker holding the job, so
+  // the search is already running when they arrive.
   TcpStream stream = TcpStream::connect("127.0.0.1", server.port());
-  std::string burst =
-      partition_request_json(slow_request("slow")).dump() + "\n";
-  burst += "{\"type\":\"ping\",\"id\":\"p1\"}\n";
-  burst += "{\"type\":\"ping\",\"id\":\"p2\"}\n";
-  stream.write_all(burst);
+  stream.write_all(partition_request_json(slow_request("slow")).dump() + "\n");
+  TcpStream probe = TcpStream::connect("127.0.0.1", server.port());
+  std::uint64_t in_flight = 0;
+  while (in_flight != 1) {
+    probe.write_all("{\"type\":\"stats\",\"id\":\"s\"}\n");
+    const std::optional<std::string> line = probe.read_line();
+    ASSERT_TRUE(line.has_value());
+    in_flight = json::parse(*line).at("result").at("in_flight").as_u64();
+  }
+  stream.write_all(
+      "{\"type\":\"ping\",\"id\":\"p1\"}\n"
+      "{\"type\":\"ping\",\"id\":\"p2\"}\n");
 
   std::vector<std::string> order;
   std::string slow_line;
