@@ -9,7 +9,6 @@
 #include "core/partitioner.hpp"
 #include "design/synthetic.hpp"
 #include "reconfig/controller.hpp"
-#include "reconfig/prefetch.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -67,10 +66,9 @@ int main() {
 
       Rng chain_rng(3000 + i);
       const MarkovChain env = skewed_chain(chain_rng, n, hot);
-      PrefetchingController pre(d, dp.result.proposed.scheme,
-                                dp.result.proposed.eval, env);
-      ReconfigurationController plain(d, dp.result.proposed.scheme,
-                                      dp.result.proposed.eval);
+      ReconfigurationController pre(d, dp.result.proposed.eval, {},
+                                    PrefetchPolicy{env});
+      ReconfigurationController plain(d, dp.result.proposed.eval);
       Rng walk_rng(4000 + i);
       pre.boot(0);
       plain.boot(0);
@@ -85,7 +83,7 @@ int main() {
       sum_reduction +=
           100.0 *
           (static_cast<double>(plain.stats().total_frames) -
-           static_cast<double>(pre.stats().stall_frames)) /
+           static_cast<double>(pre.stats().total_frames)) /
           static_cast<double>(plain.stats().total_frames);
       const std::uint64_t attempts = pre.stats().useful_prefetches +
                                      pre.stats().wasted_prefetches;

@@ -10,7 +10,6 @@
 #include "design/builder.hpp"
 #include "reconfig/controller.hpp"
 #include "reconfig/markov.hpp"
-#include "reconfig/prefetch.hpp"
 #include "synth/ip_library.hpp"
 #include "util/strings.hpp"
 
@@ -57,8 +56,7 @@ int main() {
   p[3] = {0.8, 0.1, 0.1, 0.0};
   const MarkovChain env(p);
 
-  ReconfigurationController ctl(design, result.proposed.scheme,
-                                result.proposed.eval);
+  ReconfigurationController ctl(design, result.proposed.eval);
   ctl.boot(0);
   Rng rng(2026);
   std::size_t state = 0;
@@ -92,8 +90,8 @@ int main() {
 
   // Same walk with configuration prefetching: idle regions are preloaded
   // for the predicted next configuration during quiet periods.
-  PrefetchingController pref(design, result.proposed.scheme,
-                             result.proposed.eval, env);
+  ReconfigurationController pref(design, result.proposed.eval, {},
+                                 PrefetchPolicy{env});
   Rng rng2(2026);
   pref.boot(0);
   std::size_t state2 = 0;
@@ -101,12 +99,12 @@ int main() {
     state2 = env.sample_next(rng2, state2);
     pref.transition(state2);
   }
-  const PrefetchStats& ps = pref.stats();
+  const RuntimeStats& ps = pref.stats();
   std::cout << "\nWith configuration prefetching (same walk):\n";
   std::cout << "  stall mean           : "
-            << fixed(static_cast<double>(ps.stall_frames) / steps, 1)
+            << fixed(static_cast<double>(ps.total_frames) / steps, 1)
             << " frames/transition ("
-            << fixed(100.0 * (1.0 - static_cast<double>(ps.stall_frames) /
+            << fixed(100.0 * (1.0 - static_cast<double>(ps.total_frames) /
                                         static_cast<double>(
                                             stats.total_frames)),
                      1)

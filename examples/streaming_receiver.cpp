@@ -64,8 +64,7 @@ int main() {
       stages.push_back({m.name, 2, fifo_depth});
     StreamingPipeline pipe(std::move(stages), /*arrival_interval=*/4);
 
-    ReconfigurationController ctl(design, result.proposed.scheme,
-                                  result.proposed.eval);
+    ReconfigurationController ctl(design, result.proposed.eval);
     ctl.boot(0);
 
     for (const std::string& event : trace) {

@@ -117,9 +117,16 @@ all-pairs circuit behind the paper's Eq. 10 proxy, or --trace FILE for a
 recorded trace (whitespace-separated configuration ids, `#` comments).
 --rank additionally replays the search's runner-up schemes; --arrival-ns
 switches from closed-loop to fixed-period arrivals (queueing shows up in
-the latency); --prefetch enables Markov-predicted prefetching within
---idle-frames per idle period. Results are byte-deterministic for a given
-seed at any --threads value.
+the latency). Without --prefetch a transition i -> j pays the memoryless
+Eq. 8 cost: the regions both configurations use with different members.
+--prefetch switches to the stateful controller, whose regions keep their
+contents between transitions (so a region left stale by a configuration
+that does not use it reloads when next needed), and prefetches idle
+regions for the Markov-predicted successor within --idle-frames per idle
+period (needs --prefetch). The stateful model never loads fewer frames
+than the memoryless one; compare --prefetch runs with each other, not
+with plain ones. Results are byte-deterministic for a given seed at any
+--threads value.
 )";
 
 std::string read_file(const std::string& path) {
@@ -535,6 +542,8 @@ int cmd_simulate(const Args& args, std::ostream& out, std::ostream& err) {
   if (params.steps == 0) throw ParseError("--steps must be positive");
   params.seed = args.u64_or("seed", 1);
   params.prefetch = args.has("prefetch");
+  if (args.has("idle-frames") && !params.prefetch)
+    throw ParseError("--idle-frames needs --prefetch");
   params.uniform = args.has("uniform");
   params.inter_arrival_ns = args.u64_or("arrival-ns", 0);
   params.floorplan = args.has("floorplan");
@@ -1068,8 +1077,8 @@ int run(const std::vector<std::string>& args, std::ostream& out,
       return cmd_devices(out);
     }
     if (command == "analyze" || command == "lint") {
-      need_design();
       parsed.check_known({"device", "budget", "json"});
+      need_design();
       return cmd_analyze(parsed, out);
     }
     if (command == "estimate") {
@@ -1081,41 +1090,41 @@ int run(const std::vector<std::string>& args, std::ostream& out,
       return cmd_generate(parsed, out);
     }
     if (command == "partition") {
-      need_design();
       parsed.check_known({"device", "budget", "candidate-sets", "evals",
                           "threads", "floorplan", "ucf", "save",
                           "search-stats", "json"});
+      need_design();
       return cmd_partition(parsed, out, err);
     }
     if (command == "floorplan") {
-      need_design();
       parsed.check_known({"device", "budget", "candidate-sets", "evals",
                           "threads", "top-k", "first-fit", "no-anneal",
                           "anneal-seed", "ucf", "json"});
+      need_design();
       return cmd_floorplan(parsed, out, err);
     }
     if (command == "simulate") {
-      need_design();
       parsed.check_known({"device", "budget", "candidate-sets", "evals",
                           "threads", "steps", "seed", "prefetch", "load",
                           "trace", "uniform", "rank", "arrival-ns",
                           "idle-frames", "floorplan", "json"});
+      need_design();
       return cmd_simulate(parsed, out, err);
     }
     if (command == "bitstreams") {
-      need_design();
       parsed.check_known(
           {"device", "budget", "candidate-sets", "evals", "threads", "out"});
+      need_design();
       return cmd_bitstreams(parsed, out, err);
     }
     if (command == "flow") {
-      need_design();
       parsed.check_known({"device", "candidate-sets", "evals", "threads", "out"});
+      need_design();
       return cmd_flow(parsed, out, err);
     }
     if (command == "optimal") {
-      need_design();
       parsed.check_known({"device", "budget", "states"});
+      need_design();
       return cmd_optimal(parsed, out, err);
     }
     if (command == "serve") {
@@ -1126,9 +1135,9 @@ int run(const std::vector<std::string>& args, std::ostream& out,
       return cmd_serve(parsed, err);
     }
     if (command == "submit") {
-      need_design();
       parsed.check_known({"host", "port", "device", "budget", "candidate-sets",
                           "evals", "threads", "timeout", "id", "json"});
+      need_design();
       return cmd_submit(parsed, out, err);
     }
     if (command == "stats") {

@@ -22,11 +22,7 @@ ApplicationStats simulate_application(const Design& design,
   require(app.mean_dwell_ns > 0 && app.arrival_items_per_second > 0,
           "ApplicationModel rates must be positive");
 
-  // The controller only needs the evaluation's active tables; the scheme
-  // argument is unused beyond arity checks, so pass a shape-matching shell.
-  PartitionScheme shell;
-  shell.regions.resize(evaluation.regions.size());
-  ReconfigurationController ctl(design, shell, evaluation, icap);
+  ReconfigurationController ctl(design, evaluation, icap);
   ctl.boot(0);
 
   ApplicationStats stats;

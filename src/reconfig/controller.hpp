@@ -1,12 +1,13 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <optional>
 #include <vector>
 
 #include "core/scheme.hpp"
 #include "design/design.hpp"
 #include "reconfig/icap.hpp"
+#include "reconfig/markov.hpp"
 
 namespace prpart {
 
@@ -19,14 +20,37 @@ struct ReconfigEvent {
   std::uint64_t ns = 0;
 };
 
-/// Cumulative runtime statistics of a simulation run.
+/// Cumulative runtime statistics of a simulation run. Loads, frames and
+/// nanoseconds count reconfiguration work on the critical path of
+/// transitions (what the application waits for); prefetched frames are
+/// streamed during idle periods and are counted apart.
 struct RuntimeStats {
   std::uint64_t transitions = 0;
   std::uint64_t region_loads = 0;
   std::uint64_t total_frames = 0;
-  std::uint64_t total_ns = 0;
+  std::uint64_t total_ns = 0;  ///< sum of the loaded regions' ICAP times
   std::uint64_t worst_transition_frames = 0;
   std::uint64_t worst_transition_ns = 0;
+
+  // Prefetch accounting (zero without a PrefetchPolicy).
+  std::uint64_t prefetched_frames = 0;
+  std::uint64_t useful_prefetches = 0;  ///< prefetched region later needed as-is
+  std::uint64_t wasted_prefetches = 0;  ///< overwritten before being used
+};
+
+/// Configuration prefetching (the technique of the paper's related work
+/// [4], adapted to the adaptive-systems setting): while the system sits in
+/// configuration c, regions that c does not use are idle and may be
+/// speculatively loaded with the partitions the *predicted* next
+/// configuration needs. If the prediction holds, those loads vanish from
+/// the transition's critical path.
+struct PrefetchPolicy {
+  /// Markov model of the environment; the most likely successor of the
+  /// current configuration is the prediction (ties go to the lowest id).
+  MarkovChain predictor;
+  /// Frames the ICAP may stream per idle period (before the next
+  /// adaptation arrives). 0 disables prefetching.
+  std::uint64_t idle_frames_budget = ~std::uint64_t{0};
 };
 
 /// Simulates the runtime configuration manager of a PR system (the software
@@ -41,6 +65,10 @@ struct RuntimeStats {
 /// simulator the ground truth that the closed-form Eq. 10 approximates; the
 /// tests cross-check the two.
 ///
+/// With a PrefetchPolicy, every boot and transition ends by preloading the
+/// current configuration's idle regions for the predicted successor,
+/// largest region first, within the idle budget.
+///
 /// Cold-start surcharge: boot(c) loads only the regions configuration c
 /// uses; regions c does not use stay blank, so the first transition that
 /// needs them pays for their initial load. Eq. 10 models *warm* operation
@@ -49,12 +77,14 @@ struct RuntimeStats {
 /// measure steady-state costs.
 class ReconfigurationController {
  public:
-  /// `evaluation` must be a valid evaluation of `scheme` for `design`.
-  ReconfigurationController(const Design& design, const PartitionScheme& scheme,
+  /// `evaluation` must be a valid evaluation of a scheme for `design`; a
+  /// policy's predictor must have one state per configuration.
+  ReconfigurationController(const Design& design,
                             const SchemeEvaluation& evaluation,
-                            IcapModel icap = {});
+                            IcapModel icap = {},
+                            std::optional<PrefetchPolicy> prefetch = {});
 
-  std::size_t region_count() const { return active_.size(); }
+  std::size_t region_count() const { return frames_.size(); }
   std::size_t config_count() const { return nconf_; }
 
   /// Loads `config` from power-up (full configuration); resets statistics.
@@ -63,8 +93,9 @@ class ReconfigurationController {
   std::size_t current_config() const { return current_; }
 
   /// Switches to `config`, reconfiguring exactly the regions whose needed
-  /// partition differs from their current contents. Returns the events.
-  std::vector<ReconfigEvent> transition(std::size_t config);
+  /// partition differs from their current contents. Returns the events,
+  /// valid until the next call (the buffer is reused).
+  const std::vector<ReconfigEvent>& transition(std::size_t config);
 
   /// Frames that a transition to `config` would write, without doing it.
   std::uint64_t peek_frames(std::size_t config) const;
@@ -78,15 +109,27 @@ class ReconfigurationController {
  private:
   static constexpr int kEmpty = -1;
 
+  /// Member index region r needs in configuration c, or kEmpty.
+  int needed(std::size_t c, std::size_t r) const {
+    return active_[c * frames_.size() + r];
+  }
+  void prefetch_for_prediction();
+
   std::size_t nconf_ = 0;
   std::size_t current_ = 0;
   bool booted_ = false;
-  IcapModel icap_;
-  // active_[r][c]: member index active in region r under configuration c,
-  // or -1 (copied from the evaluation's region reports).
-  std::vector<std::vector<int>> active_;
+  // Configuration-major copy of the evaluation's region reports' active
+  // tables, so a transition reads one contiguous row.
+  std::vector<int> active_;
   std::vector<std::uint64_t> frames_;  // per region
+  std::vector<std::uint64_t> ns_;      // ICAP time per region load
   std::vector<int> loaded_;            // current member per region
+  std::vector<char> speculative_;      // loaded_[r] was a prefetch, not yet used
+  std::vector<ReconfigEvent> events_;  // transition()'s reused result
+
+  std::optional<PrefetchPolicy> prefetch_;
+  std::vector<std::size_t> predicted_;  // predicted successor per config
+  std::vector<std::size_t> by_size_;    // regions, largest first (stable)
   RuntimeStats stats_;
 };
 

@@ -73,10 +73,13 @@ std::size_t MarkovChain::sample_next(Rng& rng, std::size_t from) const {
   return p_.size() - 1;  // numerical tail
 }
 
-std::vector<std::vector<std::uint64_t>> transition_frame_matrix(
-    const SchemeEvaluation& evaluation, std::size_t configs) {
-  std::vector<std::vector<std::uint64_t>> frames(
-      configs, std::vector<std::uint64_t>(configs, 0));
+TransitionMatrices transition_matrices(const SchemeEvaluation& evaluation,
+                                       std::size_t configs) {
+  TransitionMatrices m{
+      std::vector<std::vector<std::uint64_t>>(
+          configs, std::vector<std::uint64_t>(configs, 0)),
+      std::vector<std::vector<std::uint32_t>>(
+          configs, std::vector<std::uint32_t>(configs, 0))};
   for (const RegionReport& region : evaluation.regions) {
     require(region.active.size() == configs,
             "evaluation active table has wrong arity");
@@ -85,12 +88,19 @@ std::vector<std::vector<std::uint64_t>> transition_frame_matrix(
         const int a = region.active[i];
         const int b = region.active[j];
         if (a >= 0 && b >= 0 && a != b) {
-          frames[i][j] += region.frames;
-          frames[j][i] += region.frames;
+          m.frames[i][j] += region.frames;
+          m.frames[j][i] += region.frames;
+          ++m.loads[i][j];
+          ++m.loads[j][i];
         }
       }
   }
-  return frames;
+  return m;
+}
+
+std::vector<std::vector<std::uint64_t>> transition_frame_matrix(
+    const SchemeEvaluation& evaluation, std::size_t configs) {
+  return transition_matrices(evaluation, configs).frames;
 }
 
 double expected_frames_per_transition(const SchemeEvaluation& evaluation,

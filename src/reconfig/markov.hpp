@@ -38,8 +38,19 @@ class MarkovChain {
   std::vector<std::vector<double>> p_;
 };
 
-/// Per-transition frame counts of a scheme: frames(i -> j) = sum over
-/// regions of d_ij * frames_r (Eq. 8 in frames). Symmetric.
+/// Memoryless per-transition costs of a scheme (Eq. 8): transition i -> j
+/// reloads region r iff both configurations use r and their active members
+/// differ (d_ij). `frames[i][j]` sums those regions' frames and `loads[i][j]`
+/// counts them. Both symmetric.
+struct TransitionMatrices {
+  std::vector<std::vector<std::uint64_t>> frames;
+  std::vector<std::vector<std::uint32_t>> loads;
+};
+TransitionMatrices transition_matrices(const SchemeEvaluation& evaluation,
+                                       std::size_t configs);
+
+/// The `frames` half of transition_matrices: frames(i -> j) = sum over
+/// regions of d_ij * frames_r (Eq. 8 in frames).
 std::vector<std::vector<std::uint64_t>> transition_frame_matrix(
     const SchemeEvaluation& evaluation, std::size_t configs);
 

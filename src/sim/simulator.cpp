@@ -2,8 +2,8 @@
 
 #include <map>
 
+#include "reconfig/controller.hpp"
 #include "reconfig/icap_datapath.hpp"
-#include "reconfig/prefetch.hpp"
 #include "util/parallel_for.hpp"
 #include "util/status.hpp"
 
@@ -85,39 +85,34 @@ SimulationResult simulate_scheme(const Design& design,
     // Memoryless pairwise cost: transition i -> j loads exactly the regions
     // whose active members differ (Eq. 8 per transition). Precomputing the
     // C x C matrices keeps multi-million-step replays at O(1) per step.
-    const auto frames_of = transition_frame_matrix(evaluation, nconf);
-    std::vector<std::vector<std::uint32_t>> loads_of(
-        nconf, std::vector<std::uint32_t>(nconf, 0));
-    for (const RegionReport& region : evaluation.regions)
-      for (std::size_t i = 0; i < nconf; ++i)
-        for (std::size_t j = i + 1; j < nconf; ++j) {
-          const int a = region.active[i];
-          const int b = region.active[j];
-          if (a >= 0 && b >= 0 && a != b) {
-            ++loads_of[i][j];
-            ++loads_of[j][i];
-          }
-        }
+    const TransitionMatrices cost = transition_matrices(evaluation, nconf);
     for (std::size_t k = 1; k < trace.configs.size(); ++k) {
       const std::uint32_t from = trace.configs[k - 1];
       const std::uint32_t to = trace.configs[k];
-      result.region_loads += loads_of[from][to];
-      serve(frames_of[from][to], k - 1);
+      result.region_loads += cost.loads[from][to];
+      serve(cost.frames[from][to], k - 1);
     }
   } else {
+    // Stateful stale-content replay: region contents persist across
+    // transitions and idle regions are prefetched for the predicted
+    // successor, so only the residual loads hit the critical path.
     require(options.predictor != nullptr,
             "prefetching simulation needs a predictor chain");
-    PrefetchingController controller(design, scheme, evaluation,
-                                     *options.predictor, options.icap,
-                                     options.idle_frames_budget);
+    ReconfigurationController controller(
+        design, evaluation, options.icap,
+        PrefetchPolicy{*options.predictor, options.idle_frames_budget});
     controller.boot(trace.configs.front());
-    for (std::size_t k = 1; k < trace.configs.size(); ++k)
-      serve(controller.transition(trace.configs[k]), k - 1);
-    const PrefetchStats& ps = controller.stats();
-    result.region_loads = ps.stall_loads;
-    result.prefetched_frames = ps.prefetched_frames;
-    result.useful_prefetches = ps.useful_prefetches;
-    result.wasted_prefetches = ps.wasted_prefetches;
+    for (std::size_t k = 1; k < trace.configs.size(); ++k) {
+      std::uint64_t frames = 0;
+      for (const ReconfigEvent& ev : controller.transition(trace.configs[k]))
+        frames += ev.frames;
+      serve(frames, k - 1);
+    }
+    const RuntimeStats& rs = controller.stats();
+    result.region_loads = rs.region_loads;
+    result.prefetched_frames = rs.prefetched_frames;
+    result.useful_prefetches = rs.useful_prefetches;
+    result.wasted_prefetches = rs.wasted_prefetches;
   }
 
   finalize(result, latencies, datapath.stats().last_done_ns);

@@ -23,7 +23,9 @@ struct SimulationOptions {
   /// requests arriving while the port is busy queue up, and the served
   /// latency grows by the queueing delay.
   std::uint64_t inter_arrival_ns = 0;
-  /// Markov-predicted configuration prefetching (reconfig/prefetch). When
+  /// Markov-predicted configuration prefetching (a PrefetchPolicy on the
+  /// reconfig/controller). Also switches the cost model from the memoryless
+  /// pair rule to the stateful controller (see simulate_scheme). When
   /// enabled, `predictor` must be non-null and match the design.
   bool prefetch = false;
   const MarkovChain* predictor = nullptr;
@@ -74,9 +76,14 @@ struct SimulationResult {
 /// transition — the memoryless cost the paper's Eq. 10 sums over all pairs;
 /// per-transition latency is the ICAP model applied to the kernel's
 /// active-frame counts, which the property suite pins). With prefetch, the
-/// run goes through the stateful PrefetchingController: regions idle in the
-/// current configuration are speculatively loaded for the Markov-predicted
-/// successor, and only the residual stall frames hit the critical path.
+/// run goes through the stateful ReconfigurationController with a
+/// PrefetchPolicy: region contents persist between transitions (a region
+/// left blank or stale by a configuration that does not use it is reloaded
+/// when next needed, which the memoryless rule never charges), regions idle
+/// in the current configuration are speculatively loaded for the
+/// Markov-predicted successor, and only the residual loads hit the critical
+/// path. The stateful model charges every load the memoryless rule charges,
+/// so on the same trace it never loads fewer frames.
 ///
 /// `evaluation` must be a valid evaluation of `scheme` for the design;
 /// every trace entry must be a valid configuration id (the trace reader

@@ -21,21 +21,29 @@ Args::Args(const std::vector<std::string>& argv,
       switches_.push_back(key);
       continue;
     }
+    // A trailing option has no value. It is not an error yet: the caller
+    // may reject it as unknown first, or never ask for its value.
     if (i + 1 >= argv.size())
-      throw ParseError("option --" + key + " expects a value");
-    options_.emplace_back(key, argv[++i]);
+      options_.emplace_back(key, std::nullopt);
+    else
+      options_.emplace_back(key, argv[++i]);
   }
 }
 
 bool Args::has(const std::string& key) const {
   if (std::find(switches_.begin(), switches_.end(), key) != switches_.end())
     return true;
-  return value(key).has_value();
+  for (const auto& [k, v] : options_)
+    if (k == key) return true;
+  return false;
 }
 
 std::optional<std::string> Args::value(const std::string& key) const {
-  for (const auto& [k, v] : options_)
-    if (k == key) return v;
+  for (const auto& [k, v] : options_) {
+    if (k != key) continue;
+    if (!v) throw ParseError("option --" + key + " expects a value");
+    return v;
+  }
   return std::nullopt;
 }
 
@@ -58,6 +66,8 @@ void Args::check_known(const std::vector<std::string>& known) const {
     if (!is_known(k)) throw ParseError("unknown option --" + k);
   for (const std::string& s : switches_)
     if (!is_known(s)) throw ParseError("unknown option --" + s);
+  for (const auto& [k, v] : options_)
+    if (!v) throw ParseError("option --" + k + " expects a value");
 }
 
 }  // namespace prpart

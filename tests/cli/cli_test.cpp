@@ -547,6 +547,38 @@ TEST_F(CliTest, ServeRejectsUnknownOption) {
   EXPECT_NE(r.err.find("unknown option"), std::string::npos);
 }
 
+TEST_F(CliTest, ServeRejectsTrailingUnknownSwitch) {
+  const CliRun r = invoke({"serve", "--legacy-io"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("unknown option --legacy-io"), std::string::npos)
+      << r.err;
+}
+
+TEST_F(CliTest, UnknownOptionBeforeTheDesignIsNamed) {
+  // `--bogus` swallows the design path as its value; the error must name
+  // the option, not claim the design file is missing.
+  const CliRun r = invoke({"partition", "--bogus", design_path_});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("unknown option --bogus"), std::string::npos) << r.err;
+}
+
+TEST_F(CliTest, KnownOptionWithoutValueSaysSo) {
+  const CliRun r = invoke({"partition", design_path_, "--budget"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("option --budget expects a value"), std::string::npos)
+      << r.err;
+}
+
+TEST_F(CliTest, SimulateRejectsIdleFramesWithoutPrefetch) {
+  // The idle budget only feeds the prefetcher; silently ignoring it would
+  // hide a mistyped command line.
+  const CliRun r = invoke({"simulate", design_path_, "--device", "XC5VFX70T",
+                           "--steps", "50", "--idle-frames", "100"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("--idle-frames"), std::string::npos) << r.err;
+  EXPECT_NE(r.err.find("--prefetch"), std::string::npos) << r.err;
+}
+
 TEST_F(CliTest, StatsRejectsUnknownOption) {
   EXPECT_EQ(invoke({"stats", "--hots", "x"}).code, 1);
 }

@@ -125,7 +125,7 @@ TEST(EdgeCases, ZeroAreaModesAreHarmless) {
   const PartitionerResult r = partition_design(d, {200, 2, 2});
   ASSERT_TRUE(r.feasible);
   EXPECT_TRUE(r.proposed.eval.valid);
-  ReconfigurationController ctl(d, r.proposed.scheme, r.proposed.eval);
+  ReconfigurationController ctl(d, r.proposed.eval);
   ctl.boot(0);
   ctl.transition(1);
   ctl.transition(2);

@@ -77,7 +77,7 @@ TEST(EndToEnd, FullFlowOnCognitiveRadio) {
   for (const Bitstream& b : bitstreams) validate_bitstream(b);
 
   // 5. Run an adaptation scenario through the reconfiguration controller.
-  ReconfigurationController ctl(design, pr.proposed.scheme, pr.proposed.eval);
+  ReconfigurationController ctl(design, pr.proposed.eval);
   ctl.boot(0);
   Rng rng(99);
   const MarkovChain chain =
@@ -116,7 +116,7 @@ TEST(EndToEnd, CaseStudyFlowProducesStorableArtifacts) {
   EXPECT_GT(total_bytes(bitstreams), 0u);
 
   // Boot each configuration and reach every other one.
-  ReconfigurationController ctl(design, pr.proposed.scheme, pr.proposed.eval);
+  ReconfigurationController ctl(design, pr.proposed.eval);
   const std::size_t n = design.configurations().size();
   for (std::size_t i = 0; i < n; ++i) {
     ctl.boot(i);

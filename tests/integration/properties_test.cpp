@@ -127,8 +127,7 @@ TEST_P(PipelineProperties, SimulatorAgreesWithCostModel) {
   // i <-> j costs equal the model's and are symmetric.
   ASSERT_TRUE(result_->feasible);
   const std::size_t n = design_->configurations().size();
-  ReconfigurationController ctl(*design_, result_->proposed.scheme,
-                                result_->proposed.eval);
+  ReconfigurationController ctl(*design_, result_->proposed.eval);
   std::uint64_t total = 0;
   std::uint64_t worst = 0;
   for (std::size_t i = 0; i < n; ++i)

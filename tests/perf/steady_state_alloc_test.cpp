@@ -20,9 +20,12 @@
 
 #include "core/clustering.hpp"
 #include "core/eval_kernel.hpp"
+#include "core/partitioner.hpp"
 #include "core/scheme.hpp"
 #include "core/schemes.hpp"
+#include "design/builder.hpp"
 #include "design/synthetic.hpp"
+#include "reconfig/controller.hpp"
 #include "util/parallel_for.hpp"
 
 static std::atomic<std::uint64_t> g_heap_allocations{0};
@@ -167,6 +170,50 @@ TEST(SteadyStateAlloc, WarmSingleEvaluationAllocatesNothing) {
     shard.context.evaluate_into(shard.schemes.front(), budget, shard.scratch,
                                 eval);
   EXPECT_EQ(g_heap_allocations.load(std::memory_order_relaxed) - before, 0u);
+}
+
+TEST(SteadyStateAlloc, RepeatedControllerWalkAllocatesNothing) {
+  // The served prefetch replay's per-step contract: transition() reuses its
+  // event buffer and the prefetcher its precomputed tables, so once a walk
+  // has sized the buffer, replaying the same walk never touches the heap.
+  // Module A's two modes share one region that configuration c2 leaves
+  // idle, so the prefetcher has a window to fill.
+  const Design design =
+      DesignBuilder("idle-window")
+          .module("A", {{"A1", {200, 0, 0}}, {"A2", {300, 0, 0}}})
+          .module("B", {{"B1", {100, 0, 0}}})
+          .configuration({{"A", "A1"}, {"B", "B1"}})
+          .configuration({{"A", "A2"}, {"B", "B1"}})
+          .configuration({{"B", "B1"}})
+          .build();
+  const PartitionerResult result = partition_design(design, {450, 4, 4});
+  ASSERT_TRUE(result.feasible);
+  const std::size_t n = design.configurations().size();
+  const MarkovChain env = MarkovChain::uniform(n);
+  std::vector<std::size_t> walk;
+  Rng rng(5);
+  std::size_t state = 0;
+  for (int i = 0; i < 500; ++i) {
+    state = env.sample_next(rng, state);
+    walk.push_back(state);
+  }
+
+  ReconfigurationController ctl(design, result.proposed.eval, {},
+                                PrefetchPolicy{env});
+  const auto replay = [&] {
+    ctl.boot(0);
+    std::uint64_t frames = 0;
+    for (const std::size_t next : walk)
+      for (const ReconfigEvent& ev : ctl.transition(next)) frames += ev.frames;
+    return frames;
+  };
+  const std::uint64_t first = replay();  // sizes the event buffer
+  const std::uint64_t before =
+      g_heap_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t second = replay();
+  EXPECT_EQ(g_heap_allocations.load(std::memory_order_relaxed) - before, 0u);
+  EXPECT_EQ(second, first);
+  EXPECT_GT(ctl.stats().prefetched_frames, 0u);
 }
 
 }  // namespace

@@ -23,8 +23,7 @@ struct Fixture {
   }
 
   ReconfigurationController controller() const {
-    return ReconfigurationController(design, result.proposed.scheme,
-                                     result.proposed.eval);
+    return ReconfigurationController(design, result.proposed.eval);
   }
 };
 
@@ -151,16 +150,13 @@ TEST(Controller, RejectsInvalidEvaluation) {
   Fixture f;
   SchemeEvaluation bad = f.result.proposed.eval;
   bad.valid = false;
-  EXPECT_THROW(ReconfigurationController(f.design, f.result.proposed.scheme,
-                                         bad),
-               InternalError);
+  EXPECT_THROW(ReconfigurationController(f.design, bad), InternalError);
 }
 
 TEST(Controller, EventNanosecondsUseIcapModel) {
   Fixture f;
   IcapModel icap;
-  ReconfigurationController c(f.design, f.result.proposed.scheme,
-                              f.result.proposed.eval, icap);
+  ReconfigurationController c(f.design, f.result.proposed.eval, icap);
   c.boot(0);
   for (std::size_t j = 1; j < f.design.configurations().size(); ++j) {
     for (const ReconfigEvent& ev : c.transition(j))

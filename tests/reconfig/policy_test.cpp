@@ -17,8 +17,7 @@ struct Fixture {
   PartitionerResult result = partition_design(design, {900, 8, 16});
 
   ReconfigurationController controller() const {
-    ReconfigurationController c(design, result.proposed.scheme,
-                                result.proposed.eval);
+    ReconfigurationController c(design, result.proposed.eval);
     c.boot(0);
     return c;
   }

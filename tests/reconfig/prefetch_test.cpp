@@ -1,8 +1,7 @@
-#include "reconfig/prefetch.hpp"
-
 #include <gtest/gtest.h>
 
 #include "core/partitioner.hpp"
+#include "design/synthetic.hpp"
 #include "reconfig/controller.hpp"
 #include "tests/core/example_designs.hpp"
 #include "util/status.hpp"
@@ -22,6 +21,13 @@ struct Fixture {
     if (!result.feasible) throw std::runtime_error("fixture infeasible");
   }
 };
+
+/// Critical-path frames of one transition.
+std::uint64_t frames_of(const std::vector<ReconfigEvent>& events) {
+  std::uint64_t frames = 0;
+  for (const ReconfigEvent& ev : events) frames += ev.frames;
+  return frames;
+}
 
 /// Deterministic cycle chain c0 -> c2 -> c1 -> c0 over three configs.
 MarkovChain cycle021() {
@@ -52,10 +58,9 @@ TEST(Prefetch, PerfectPredictionHidesIdleRegionLoads) {
   // frames. The c1 -> c0 hop cannot be hidden (the region is busy in c1).
   Fixture f(idle_window_design(), {450, 4, 4});
   ASSERT_TRUE(f.result.proposed_from_search);
-  PrefetchingController pre(f.design, f.result.proposed.scheme,
-                            f.result.proposed.eval, cycle021());
-  ReconfigurationController plain(f.design, f.result.proposed.scheme,
-                                  f.result.proposed.eval);
+  ReconfigurationController pre(f.design, f.result.proposed.eval, {},
+                                PrefetchPolicy{cycle021()});
+  ReconfigurationController plain(f.design, f.result.proposed.eval);
   pre.boot(0);
   plain.boot(0);
   const std::size_t walk[] = {2, 1, 0, 2, 1, 0, 2, 1, 0};
@@ -65,7 +70,7 @@ TEST(Prefetch, PerfectPredictionHidesIdleRegionLoads) {
   }
   // Three full cycles: plain pays 2 region loads per cycle, prefetch pays 1.
   EXPECT_GT(plain.stats().total_frames, 0u);
-  EXPECT_EQ(2 * pre.stats().stall_frames, plain.stats().total_frames);
+  EXPECT_EQ(2 * pre.stats().total_frames, plain.stats().total_frames);
   EXPECT_GE(pre.stats().useful_prefetches, 3u);
 }
 
@@ -83,23 +88,25 @@ TEST(Prefetch, HitAccountingGoldenOnTheCycle) {
     if (r.reconfig_pairs > 0) frames_a = r.frames;
   ASSERT_GT(frames_a, 0u);
 
-  PrefetchingController pre(f.design, f.result.proposed.scheme, eval,
-                            cycle021());
+  ReconfigurationController pre(f.design, eval, {}, PrefetchPolicy{cycle021()});
   pre.boot(0);
   std::vector<std::uint64_t> stalls;
   const std::size_t walk[] = {2, 1, 0, 2, 1, 0, 2, 1, 0};
-  for (const std::size_t next : walk) stalls.push_back(pre.transition(next));
+  for (const std::size_t next : walk)
+    stalls.push_back(frames_of(pre.transition(next)));
   EXPECT_EQ(stalls, (std::vector<std::uint64_t>{0, 0, frames_a, 0, 0,
                                                 frames_a, 0, 0, frames_a}));
-  const PrefetchStats& s = pre.stats();
+  const RuntimeStats& s = pre.stats();
   EXPECT_EQ(s.transitions, 9u);
-  EXPECT_EQ(s.stall_loads, 3u);
-  EXPECT_EQ(s.stall_frames, 3 * frames_a);
-  EXPECT_EQ(s.worst_stall_frames, frames_a);
+  EXPECT_EQ(s.region_loads, 3u);
+  EXPECT_EQ(s.total_frames, 3 * frames_a);
+  EXPECT_EQ(s.worst_transition_frames, frames_a);
   EXPECT_EQ(s.prefetched_frames, 3 * frames_a);
   EXPECT_EQ(s.useful_prefetches, 3u);
   EXPECT_EQ(s.wasted_prefetches, 0u);
-  EXPECT_EQ(s.stall_ns, 3 * IcapModel{}.reconfiguration_ns(frames_a));
+  // One region load per stalling transition, so per-region and
+  // per-transition ICAP sums agree.
+  EXPECT_EQ(s.total_ns, 3 * IcapModel{}.reconfiguration_ns(frames_a));
 }
 
 TEST(Prefetch, MispredictionIsCountedAsWasted) {
@@ -113,17 +120,16 @@ TEST(Prefetch, MispredictionIsCountedAsWasted) {
   for (const RegionReport& r : eval.regions)
     if (r.reconfig_pairs > 0) frames_a = r.frames;
 
-  PrefetchingController pre(f.design, f.result.proposed.scheme, eval,
-                            cycle021());
+  ReconfigurationController pre(f.design, eval, {}, PrefetchPolicy{cycle021()});
   pre.boot(0);
-  EXPECT_EQ(pre.transition(2), 0u);
-  EXPECT_EQ(pre.transition(0), frames_a);
-  const PrefetchStats& s = pre.stats();
+  EXPECT_EQ(frames_of(pre.transition(2)), 0u);
+  EXPECT_EQ(frames_of(pre.transition(0)), frames_a);
+  const RuntimeStats& s = pre.stats();
   EXPECT_EQ(s.useful_prefetches, 0u);
   EXPECT_EQ(s.wasted_prefetches, 1u);
   EXPECT_EQ(s.prefetched_frames, frames_a);
-  EXPECT_EQ(s.stall_loads, 1u);
-  EXPECT_EQ(s.stall_frames, frames_a);
+  EXPECT_EQ(s.region_loads, 1u);
+  EXPECT_EQ(s.total_frames, frames_a);
 }
 
 TEST(Prefetch, NeverWorseThanNoPrefetchOnActiveRegions) {
@@ -133,10 +139,9 @@ TEST(Prefetch, NeverWorseThanNoPrefetchOnActiveRegions) {
   const std::size_t n = f.design.configurations().size();
   const MarkovChain uniform = MarkovChain::uniform(n);
 
-  PrefetchingController pre(f.design, f.result.proposed.scheme,
-                            f.result.proposed.eval, uniform);
-  ReconfigurationController plain(f.design, f.result.proposed.scheme,
-                                  f.result.proposed.eval);
+  ReconfigurationController pre(f.design, f.result.proposed.eval, {},
+                                PrefetchPolicy{uniform});
+  ReconfigurationController plain(f.design, f.result.proposed.eval);
   Rng rng(7);
   pre.boot(0);
   plain.boot(0);
@@ -146,7 +151,7 @@ TEST(Prefetch, NeverWorseThanNoPrefetchOnActiveRegions) {
     pre.transition(state);
     plain.transition(state);
   }
-  EXPECT_LE(pre.stats().stall_frames, plain.stats().total_frames);
+  EXPECT_LE(pre.stats().total_frames, plain.stats().total_frames);
   EXPECT_EQ(pre.stats().transitions, plain.stats().transitions);
 }
 
@@ -154,10 +159,9 @@ TEST(Prefetch, ZeroBudgetDisablesPrefetching) {
   Fixture f(paper_example(), {900, 8, 16});
   const std::size_t n = f.design.configurations().size();
   const MarkovChain uniform = MarkovChain::uniform(n);
-  PrefetchingController pre(f.design, f.result.proposed.scheme,
-                            f.result.proposed.eval, uniform, IcapModel{}, 0);
-  ReconfigurationController plain(f.design, f.result.proposed.scheme,
-                                  f.result.proposed.eval);
+  ReconfigurationController pre(f.design, f.result.proposed.eval, {},
+                                PrefetchPolicy{uniform, 0});
+  ReconfigurationController plain(f.design, f.result.proposed.eval);
   Rng rng(9);
   pre.boot(0);
   plain.boot(0);
@@ -168,15 +172,86 @@ TEST(Prefetch, ZeroBudgetDisablesPrefetching) {
     plain.transition(state);
   }
   EXPECT_EQ(pre.stats().prefetched_frames, 0u);
-  EXPECT_EQ(pre.stats().stall_frames, plain.stats().total_frames);
+  EXPECT_EQ(pre.stats().total_frames, plain.stats().total_frames);
+}
+
+/// The paper example plus a few small synthetic designs, each with its
+/// proposed evaluation: the shapes the step-by-step properties below run on.
+std::vector<std::pair<Design, SchemeEvaluation>> property_designs() {
+  std::vector<std::pair<Design, SchemeEvaluation>> out;
+  const Fixture paper(paper_example(), {900, 8, 16});
+  out.emplace_back(paper.design, paper.result.proposed.eval);
+  PartitionerOptions options;
+  options.search.max_move_evaluations = 40'000;
+  options.search.threads = 1;
+  for (const SyntheticDesign& sd : generate_synthetic_suite(1717, 8)) {
+    if (sd.design.configurations().size() < 3) continue;
+    const PartitionerResult r =
+        partition_design(sd.design, {20000, 300, 250}, options);
+    if (r.feasible) out.emplace_back(sd.design, r.proposed.eval);
+  }
+  return out;
+}
+
+TEST(Prefetch, ZeroBudgetMatchesThePlainControllerAtEveryStep) {
+  // With no idle bandwidth the policy never loads anything, so whatever the
+  // predictor says, the controller must account exactly like the
+  // policy-free one after every single step.
+  const auto designs = property_designs();
+  ASSERT_GE(designs.size(), 4u);
+  for (std::size_t d = 0; d < designs.size(); ++d) {
+    const auto& [design, eval] = designs[d];
+    const std::size_t n = design.configurations().size();
+    Rng chain_rng(100 + d);
+    const MarkovChain env = MarkovChain::random(chain_rng, n);
+    ReconfigurationController pre(design, eval, {}, PrefetchPolicy{env, 0});
+    ReconfigurationController plain(design, eval);
+    Rng walk_rng(200 + d);
+    pre.boot(0);
+    plain.boot(0);
+    std::size_t state = 0;
+    for (int i = 0; i < 300; ++i) {
+      state = env.sample_next(walk_rng, state);
+      pre.transition(state);
+      plain.transition(state);
+      ASSERT_EQ(pre.stats().total_frames, plain.stats().total_frames)
+          << design.name() << " step " << i;
+      ASSERT_EQ(pre.stats().region_loads, plain.stats().region_loads)
+          << design.name() << " step " << i;
+    }
+    EXPECT_EQ(pre.stats().prefetched_frames, 0u) << design.name();
+  }
+}
+
+TEST(Prefetch, NeverLoadsFewerFramesThanTheMemorylessRule) {
+  // The memoryless pair rule (Eq. 8) charges i -> j only for regions both
+  // configurations use; the controller keeps those regions loaded with i's
+  // members, so it pays the same for them, and prefetching only touches
+  // regions i leaves idle. Every step therefore costs at least the rule's
+  // frames: the stateful and memoryless replays are different cost models.
+  for (const auto& [design, eval] : property_designs()) {
+    const std::size_t n = design.configurations().size();
+    const auto frames = transition_frame_matrix(eval, n);
+    const MarkovChain env = MarkovChain::uniform(n);
+    ReconfigurationController pre(design, eval, {}, PrefetchPolicy{env});
+    Rng rng(23);
+    pre.boot(0);
+    std::size_t state = 0;
+    for (int i = 0; i < 300; ++i) {
+      const std::size_t next = env.sample_next(rng, state);
+      ASSERT_GE(frames_of(pre.transition(next)), frames[state][next])
+          << design.name() << " step " << i;
+      state = next;
+    }
+  }
 }
 
 TEST(Prefetch, StatsTrackUsefulAndWasted) {
   Fixture f(paper_example(), {900, 8, 16});
   const std::size_t n = f.design.configurations().size();
   const MarkovChain uniform = MarkovChain::uniform(n);
-  PrefetchingController pre(f.design, f.result.proposed.scheme,
-                            f.result.proposed.eval, uniform);
+  ReconfigurationController pre(f.design, f.result.proposed.eval, {},
+                                PrefetchPolicy{uniform});
   Rng rng(11);
   pre.boot(0);
   std::size_t state = 0;
@@ -184,9 +259,9 @@ TEST(Prefetch, StatsTrackUsefulAndWasted) {
     state = uniform.sample_next(rng, state);
     pre.transition(state);
   }
-  const PrefetchStats& s = pre.stats();
+  const RuntimeStats& s = pre.stats();
   EXPECT_EQ(s.transitions, 400u);
-  EXPECT_LE(s.worst_stall_frames, s.stall_frames);
+  EXPECT_LE(s.worst_transition_frames, s.total_frames);
   // Bookkeeping sanity: prefetches either became useful or were wasted (or
   // are still pending); none can be both.
   EXPECT_GE(s.prefetched_frames, 0u);
@@ -195,16 +270,16 @@ TEST(Prefetch, StatsTrackUsefulAndWasted) {
 TEST(Prefetch, RejectsMismatchedPredictor) {
   Fixture f(paper_example(), {900, 8, 16});
   EXPECT_THROW(
-      PrefetchingController(f.design, f.result.proposed.scheme,
-                            f.result.proposed.eval, MarkovChain::uniform(3)),
+      ReconfigurationController(f.design, f.result.proposed.eval, {},
+                                PrefetchPolicy{MarkovChain::uniform(3)}),
       InternalError);
 }
 
 TEST(Prefetch, RequiresBoot) {
   Fixture f(paper_example(), {900, 8, 16});
-  PrefetchingController pre(
-      f.design, f.result.proposed.scheme, f.result.proposed.eval,
-      MarkovChain::uniform(f.design.configurations().size()));
+  ReconfigurationController pre(
+      f.design, f.result.proposed.eval, {},
+      PrefetchPolicy{MarkovChain::uniform(f.design.configurations().size())});
   EXPECT_THROW(pre.transition(0), InternalError);
 }
 

@@ -806,12 +806,24 @@ TEST(ServerTest, BackpressureQueuedNoticeCarriesPositionAndEta) {
   Server server(opt);
   server.start();
 
-  // Three long jobs pipelined on one connection: with a single worker and a
-  // single firm queue slot, at least the third lands beyond max_queue and
-  // draws an interim `queued` envelope before its final response.
+  // Three jobs pipelined on one connection with a single worker and a
+  // single firm queue slot. The head job is a ~200 ms search, and the other
+  // two are sent only once a stats request on a second connection shows
+  // the worker holding it: the queue is then empty, so the first follower
+  // takes the firm slot and the second lands beyond max_queue and draws an
+  // interim `queued` envelope before its final response.
   TcpStream stream = TcpStream::connect("127.0.0.1", server.port());
+  stream.write_all(partition_request_json(slow_request("q0")).dump() + "\n");
+  TcpStream probe = TcpStream::connect("127.0.0.1", server.port());
+  std::uint64_t in_flight = 0;
+  while (in_flight != 1) {
+    probe.write_all("{\"type\":\"stats\",\"id\":\"s\"}\n");
+    const std::optional<std::string> line = probe.read_line();
+    ASSERT_TRUE(line.has_value());
+    in_flight = json::parse(*line).at("result").at("in_flight").as_u64();
+  }
   std::string burst;
-  for (int i = 0; i < 3; ++i) {
+  for (int i = 1; i < 3; ++i) {
     PartitionRequest req = small_request("q" + std::to_string(i), 300'000);
     req.options.search.max_move_evaluations += std::uint64_t(i);  // no cache
     burst += partition_request_json(req).dump() + "\n";

@@ -31,7 +31,40 @@ TEST(Args, ValueOrAndU64Or) {
 }
 
 TEST(Args, MissingValueThrows) {
-  EXPECT_THROW(Args({"--device"}, {}), ParseError);
+  // Reported when the value is read or the option is checked, not at
+  // parse time (see UnknownTrailingOptionIsReportedAsUnknown).
+  const Args a({"--device"}, {});
+  EXPECT_TRUE(a.has("device"));
+  EXPECT_THROW(a.value("device"), ParseError);
+  EXPECT_THROW(a.u64_or("device", 1), ParseError);
+  EXPECT_THROW(a.check_known({"device"}), ParseError);
+}
+
+/// The message check_known throws for `a`, or "" when it accepts.
+std::string check_known_error(const Args& a,
+                              const std::vector<std::string>& known) {
+  try {
+    a.check_known(known);
+  } catch (const ParseError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Args, UnknownTrailingOptionIsReportedAsUnknown) {
+  const Args a({"serve", "--legacy-io"}, {});
+  EXPECT_EQ(check_known_error(a, {"port"}), "unknown option --legacy-io");
+  // A known trailing option lacks its value.
+  const Args b({"serve", "--port"}, {});
+  EXPECT_EQ(check_known_error(b, {"port"}), "option --port expects a value");
+}
+
+TEST(Args, UnknownOptionSwallowingAPositionalIsReportedAsUnknown) {
+  // `--bogus` takes `d.xml` as its value, so the design file seems to be
+  // missing; check_known names the real mistake.
+  const Args a({"partition", "--bogus", "d.xml"}, {});
+  EXPECT_EQ(a.positionals().size(), 1u);
+  EXPECT_EQ(check_known_error(a, {"device"}), "unknown option --bogus");
 }
 
 TEST(Args, StrayDashesThrow) {
