@@ -5,8 +5,11 @@
 // candidate pair (uniform_ranking_agreement, hard floor 1.0 in
 // tools/check_bench.py). Three further legs measure replay throughput on
 // Markov workloads with and without prefetching and verify the fan-out is
-// byte-identical across thread counts; all counters except wall-clock and
-// rates are deterministic and regression-gated against BENCH_simulate.json.
+// byte-identical across thread counts. A last pass replays every leg's runs
+// through the step-by-step reference replay in oracle/ and gates that
+// production equals it (replay_identity_agreement, hard floor 1.0). All
+// counters except wall-clock and rates are deterministic and
+// regression-gated against BENCH_simulate.json.
 //
 //   PRPART_SIM_DESIGNS=40 PRPART_SIM_STEPS=50000 ./bench_simulate
 //
@@ -25,6 +28,7 @@
 #include "core/clustering.hpp"
 #include "core/partitioner.hpp"
 #include "design/synthetic.hpp"
+#include "oracle/simulator_reference.hpp"
 #include "reconfig/markov.hpp"
 #include "sim/simulator.hpp"
 #include "sim/trace.hpp"
@@ -57,24 +61,18 @@ struct SimCase {
   MarkovChain chain;
   TransitionTrace markov;
 
+  // What the uniform, Markov and prefetch legs replayed, kept for the
+  // replay identity pass.
+  std::vector<SimulationResult> uniform_results;
+  SimulationResult markov_result;
+  SimulationResult prefetch_result;
+
   SimCase(Design d, PartitionerResult r, MarkovChain c)
       : design(std::move(d)), result(std::move(r)), chain(std::move(c)) {}
 };
 
 bool same_result(const SimulationResult& a, const SimulationResult& b) {
-  return a.transitions == b.transitions && a.frames_loaded == b.frames_loaded &&
-         a.region_loads == b.region_loads &&
-         a.prefetched_frames == b.prefetched_frames &&
-         a.useful_prefetches == b.useful_prefetches &&
-         a.wasted_prefetches == b.wasted_prefetches &&
-         a.total_latency_ns == b.total_latency_ns &&
-         a.p50_latency_ns == b.p50_latency_ns &&
-         a.p95_latency_ns == b.p95_latency_ns &&
-         a.p99_latency_ns == b.p99_latency_ns &&
-         a.max_latency_ns == b.max_latency_ns &&
-         a.makespan_ns == b.makespan_ns &&
-         a.transitions_per_second == b.transitions_per_second &&
-         a.latency_counts == b.latency_counts;
+  return oracle::describe(a) == oracle::describe(b);
 }
 
 int main_impl() {
@@ -145,13 +143,13 @@ int main_impl() {
   std::uint64_t pairs_checked = 0, pairs_agreeing = 0;
   std::uint64_t frames_identities = 0, uniform_transitions = 0;
   std::uint64_t uniform_frames_loaded = 0;
+  SimulationOptions uniform_options;
+  uniform_options.icap.fetch_latency_ns = 0;
   auto started = std::chrono::steady_clock::now();
-  for (const SimCase& c : cases) {
+  for (SimCase& c : cases) {
     const std::size_t n = c.design.configurations().size();
     const TransitionTrace trace = sim::uniform_pair_trace(n);
-    SimulationOptions uniform_options;
-    uniform_options.icap.fetch_latency_ns = 0;
-    std::vector<SimulationResult> results;
+    std::vector<SimulationResult>& results = c.uniform_results;
     results.reserve(c.candidates.size());
     for (const SchemeRef& ref : c.candidates) {
       results.push_back(sim::simulate_scheme(c.design, *ref.scheme,
@@ -195,8 +193,8 @@ int main_impl() {
   std::uint64_t markov_transitions = 0, markov_frames = 0, markov_loads = 0;
   std::uint64_t markov_latency_ns = 0;
   started = std::chrono::steady_clock::now();
-  for (const SimCase& c : cases) {
-    const SimulationResult r =
+  for (SimCase& c : cases) {
+    const SimulationResult& r = c.markov_result =
         sim::simulate_scheme(c.design, c.result.proposed.scheme,
                              c.result.proposed.eval, c.markov);
     markov_transitions += r.transitions;
@@ -227,11 +225,11 @@ int main_impl() {
   std::uint64_t pf_frames = 0, pf_prefetched = 0;
   std::uint64_t pf_useful = 0, pf_wasted = 0;
   started = std::chrono::steady_clock::now();
-  for (const SimCase& c : cases) {
+  for (SimCase& c : cases) {
     SimulationOptions pf;
     pf.prefetch = true;
     pf.predictor = &c.chain;
-    const SimulationResult r =
+    const SimulationResult& r = c.prefetch_result =
         sim::simulate_scheme(c.design, c.result.proposed.scheme,
                              c.result.proposed.eval, c.markov, pf);
     pf_frames += r.frames_loaded;
@@ -277,6 +275,47 @@ int main_impl() {
     return 1;
   }
 
+  // Leg 5 — replay identity: every replay of legs 1-3 again through the
+  // step-by-step reference replay in oracle/, which must return the same
+  // result field for field. Untimed, so the legs above time production
+  // alone.
+  std::uint64_t replays_checked = 0, replays_identical = 0;
+  const auto check = [&](const SimulationResult& production,
+                         const SimulationResult& reference) {
+    ++replays_checked;
+    if (same_result(production, reference)) ++replays_identical;
+  };
+  for (const SimCase& c : cases) {
+    const TransitionTrace trace =
+        sim::uniform_pair_trace(c.design.configurations().size());
+    for (std::size_t i = 0; i < c.candidates.size(); ++i)
+      check(c.uniform_results[i],
+            oracle::simulate_scheme_reference(
+                c.design, *c.candidates[i].scheme,
+                *c.candidates[i].evaluation, trace, uniform_options));
+    check(c.markov_result, oracle::simulate_scheme_reference(
+                               c.design, c.result.proposed.scheme,
+                               c.result.proposed.eval, c.markov));
+    SimulationOptions pf;
+    pf.prefetch = true;
+    pf.predictor = &c.chain;
+    check(c.prefetch_result, oracle::simulate_scheme_reference(
+                                 c.design, c.result.proposed.scheme,
+                                 c.result.proposed.eval, c.markov, pf));
+  }
+  const double replay_identity =
+      replays_checked == 0 ? 0.0
+                           : static_cast<double>(replays_identical) /
+                                 static_cast<double>(replays_checked);
+  std::printf("replay identity:       %llu/%llu replays equal the reference "
+              "replay in oracle/\n",
+              static_cast<unsigned long long>(replays_identical),
+              static_cast<unsigned long long>(replays_checked));
+  if (replays_identical != replays_checked) {
+    std::printf("\nFAIL: the replay diverged from the reference replay\n");
+    return 1;
+  }
+
   // Machine-readable summary for the CI regression gate. Wall-clock keys
   // and rates are skipped by check_bench.py; everything else is a
   // deterministic function of the fixed seeds and scale knobs.
@@ -313,6 +352,9 @@ int main_impl() {
     doc.set("prefetch", prefetch);
     doc.set("thread_identical",
             json::Value(static_cast<std::uint64_t>(identical ? 1 : 0)));
+    // Floor-gated (== 1.0 in tools/check_bench.py): the replays of legs 1-3
+    // equal the reference replay in oracle/.
+    doc.set("replay_identity_agreement", json::Value(replay_identity));
     std::ofstream bench_json("BENCH_simulate.json");
     bench_json << doc.dump() << "\n";
     std::printf("wrote BENCH_simulate.json\n");

@@ -64,13 +64,21 @@ std::vector<double> MarkovChain::stationary(std::size_t iterations) const {
 }
 
 std::size_t MarkovChain::sample_next(Rng& rng, std::size_t from) const {
+  return next_state(from, rng.uniform01());
+}
+
+std::size_t MarkovChain::next_state(std::size_t from, double u) const {
   require(from < p_.size(), "state out of range");
-  double u = rng.uniform01();
-  for (std::size_t j = 0; j < p_.size(); ++j) {
-    u -= p_[from][j];
+  const std::vector<double>& row = p_[from];
+  for (std::size_t j = 0; j < row.size(); ++j) {
+    u -= row[j];
     if (u < 0.0) return j;
   }
-  return p_.size() - 1;  // numerical tail
+  // Numerical tail: the row sums to 1 only within the constructor's
+  // tolerance. Every row has a positive entry, since it sums to ~1.
+  std::size_t j = row.size() - 1;
+  while (row[j] == 0.0) --j;
+  return j;
 }
 
 TransitionMatrices transition_matrices(const SchemeEvaluation& evaluation,

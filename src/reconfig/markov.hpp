@@ -31,8 +31,14 @@ class MarkovChain {
   /// Stationary distribution by power iteration.
   std::vector<double> stationary(std::size_t iterations = 1000) const;
 
-  /// Samples the next state from `from`.
+  /// Samples the next state from `from`: next_state(from, rng.uniform01()).
   std::size_t sample_next(Rng& rng, std::size_t from) const;
+
+  /// The state a uniform draw `u` in [0, 1) selects from row `from`: the
+  /// first j whose cumulative probability exceeds u. When rounding leaves
+  /// u at or above the whole row's sum, the last state with positive
+  /// probability, never one the row cannot reach.
+  std::size_t next_state(std::size_t from, double u) const;
 
  private:
   std::vector<std::vector<double>> p_;

@@ -37,10 +37,18 @@ std::uint64_t Rng::next() {
   return result;
 }
 
+namespace {
+/// Largest raw value Rng::below(n) keeps: the tail above the last whole
+/// multiple of n is rejected so every residue is equally likely.
+std::uint64_t rejection_limit(std::uint64_t n) {
+  return ~std::uint64_t{0} - (~std::uint64_t{0} % n + 1) % n;
+}
+}  // namespace
+
 std::uint64_t Rng::below(std::uint64_t n) {
   require(n > 0, "Rng::below requires n > 0");
   // Debiased modulo (rejection sampling on the tail).
-  const std::uint64_t limit = ~std::uint64_t{0} - (~std::uint64_t{0} % n + 1) % n;
+  const std::uint64_t limit = rejection_limit(n);
   std::uint64_t v = next();
   while (v > limit) v = next();
   return v % n;
@@ -62,6 +70,12 @@ bool Rng::chance(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
   return uniform01() < p;
+}
+
+BoundedDraw::BoundedDraw(std::uint64_t n) : n_(n) {
+  require(n > 0, "BoundedDraw requires n > 0");
+  limit_ = rejection_limit(n);
+  reciprocal_ = ~detail::Uint128{0} / n + 1;  // ceil(2^128 / n) mod 2^128
 }
 
 }  // namespace prpart

@@ -210,6 +210,50 @@ TEST(LadderIdentity, RungsMatchReferenceOnEveryLibraryDevice) {
   EXPECT_GT(partial_warm_starts, 0u);
 }
 
+TEST(AnnealIdentity, EveryExtendedDeviceMatchesReference) {
+  // The annealer's precomputed draws, width memo and overlap rows against
+  // the reference annealer on every extended() part: tight sets of up to
+  // eight regions, so runs go the distance and accept, reject and cool,
+  // warm-started from the greedy rung's placement and from nothing.
+  const DeviceLibrary library = DeviceLibrary::extended();
+  Rng rng(1311);
+  std::size_t runs = 0, unsolved = 0;
+  for (const Device& d : library.devices()) {
+    for (const std::uint32_t regions : {3u, 8u}) {
+      // Together the regions ask for 70-100% of the CLB tiles and a share
+      // of the BRAM and DSP tiles.
+      const std::uint32_t clb = d.tiles_of(BlockType::Clb);
+      std::vector<TileCount> needs(regions);
+      for (TileCount& n : needs)
+        n = {clb * (70 + draw(rng, 30)) / (100 * regions),
+             draw(rng, d.tiles_of(BlockType::Bram) / (4 * regions)),
+             draw(rng, d.tiles_of(BlockType::Dsp) / (4 * regions))};
+      const std::vector<RegionPlacement> warm =
+          Floorplanner(d, {PlacementStrategy::BestFit}).place(needs).placements;
+      for (std::uint64_t seed : {3u, 11u, 2024u}) {
+        AnnealingOptions opt = annealing(seed);
+        opt.iterations = 3000;
+        const std::string ctx = d.name() + " regions " +
+                                std::to_string(regions) + " seed " +
+                                std::to_string(seed);
+        const FloorplanResult placed = anneal_place(d, needs, opt);
+        EXPECT_EQ(oracle::describe(placed),
+                  oracle::describe(oracle::anneal_place_reference(d, needs, opt)))
+            << ctx;
+        EXPECT_EQ(oracle::describe(anneal_refine(d, needs, warm, opt)),
+                  oracle::describe(
+                      oracle::anneal_refine_reference(d, needs, warm, opt)))
+            << ctx << " warm";
+        ++runs;
+        if (!placed.success) ++unsolved;
+      }
+    }
+  }
+  // Some runs end with overlaps left, so failed_region is compared too.
+  EXPECT_GT(unsolved, 0u);
+  EXPECT_LT(unsolved, runs);
+}
+
 TEST(LadderIdentity, LadderVerdictsAndFixItsMatchReference) {
   // Library parts walk the extended() catalogue for their fix-it; the small
   // grids walk a catalogue of small grids, which some of them outgrow.

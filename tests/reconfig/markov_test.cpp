@@ -80,6 +80,27 @@ TEST(MarkovChain, SampleNextFollowsDistribution) {
   EXPECT_NEAR(static_cast<double>(counts[2]) / 30000, 0.5, 0.02);
 }
 
+TEST(MarkovChain, NumericalTailNeverPicksAZeroProbabilityState) {
+  // The constructor accepts a row 9e-10 short of 1, so the largest draw,
+  // u = 1 - 2^-53, runs off its end. The tail must land on state 1, the
+  // last state the row can reach, not on the unreachable state 2.
+  using Rows = std::vector<std::vector<double>>;
+  const MarkovChain c(
+      Rows{{0.5, 0.5 - 9e-10, 0.0}, {0.0, 0.0, 1.0}, {1.0, 0.0, 0.0}});
+  const double largest = 1.0 - 0x1.0p-53;
+  EXPECT_EQ(c.next_state(0, largest), 1u);
+  EXPECT_EQ(c.next_state(0, 0.0), 0u);
+  EXPECT_EQ(c.next_state(0, 0.5), 1u);
+  EXPECT_EQ(c.next_state(1, largest), 2u);
+  EXPECT_EQ(c.next_state(2, largest), 0u);
+  EXPECT_THROW(c.next_state(3, 0.5), InternalError);
+  // A uniform chain never leaves the last state for itself, even at the
+  // largest draw.
+  const MarkovChain u = MarkovChain::uniform(4);
+  for (std::size_t from = 0; from < 4; ++from)
+    EXPECT_NE(u.next_state(from, largest), from) << from;
+}
+
 class MarkovCost : public ::testing::Test {
  protected:
   Design design_ = paper_example();

@@ -18,7 +18,8 @@ wall-clock speedup over the scalar reference to stay >= 10x, and the
 SIMD-dispatched batched kernel's speedup over the forced-scalar tier to
 stay >= 1.5x;
 BENCH_simulate.json requires the uniform-trace ranking agreement with
-Eq. 10 to be exactly 1.0; BENCH_floorplan.json requires every legal
+Eq. 10 and the replay identity with the reference replay to be exactly
+1.0; BENCH_floorplan.json requires every legal
 floorplan to cover its Eq. 10 estimate, the placement-true re-ranking
 to be identical across search thread counts, and every candidate's
 placement ladder output to equal the reference ladder's (all exactly
@@ -55,6 +56,11 @@ FLOORS = {
     # sums (ties included). The simulator's headline contract — anything
     # below 1.0 is a correctness bug, not a perf regression.
     "uniform_ranking_agreement": 1.0,
+    # BENCH_simulate.json: fraction of the bench's uniform, Markov and
+    # prefetch replays whose result equals the step-by-step reference replay
+    # in oracle/ field by field. Counting transition pairs must never change
+    # a result.
+    "replay_identity_agreement": 1.0,
     # BENCH_floorplan.json: fraction of legal floorplans whose placed frame
     # total covers the Eq. 10 estimate (tiles round up, never down), and the
     # fraction of designs whose placement-true re-ranking is identical at
