@@ -1,8 +1,8 @@
-// Speedup and cache effectiveness of the parallel region-allocation search
-// over the Fig. 7 synthetic design set. For every thread count the same
-// designs run through search_partitioning; the bench reports wall-clock,
-// speedup versus threads=1, the cost-cache hit rate, and — the contract the
-// speedup is not allowed to buy — whether every scheme is byte-identical
+// Speedup of the parallel region-allocation search over the Fig. 7
+// synthetic design set. For every thread count the same designs run through
+// search_partitioning; the bench reports wall-clock, speedup versus
+// threads=1, and — the contract the speedup is not allowed to buy —
+// whether every scheme is byte-identical
 // (result_io serialisation) to the threads=1 reference. Exits non-zero on
 // any mismatch.
 //
@@ -32,6 +32,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -85,8 +86,6 @@ struct PreparedDesign {
 
 struct RunOutcome {
   double seconds = 0.0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
   std::uint64_t move_evaluations = 0;
   std::uint64_t full_evaluations = 0;
   std::uint64_t moves_rescored = 0;
@@ -117,8 +116,6 @@ RunOutcome run_all(std::vector<PreparedDesign>& designs, unsigned threads,
     const SearchResult r = search_partitioning(p.design, p.matrix,
                                                p.partitions, p.compat,
                                                p.budget, opt);
-    out.cache_hits += r.stats.cache_hits;
-    out.cache_misses += r.stats.cache_misses;
     out.move_evaluations += r.stats.move_evaluations;
     out.full_evaluations += r.stats.full_evaluations;
     out.moves_rescored += r.stats.moves_rescored;
@@ -164,25 +161,20 @@ int main_impl() {
   std::printf("parallel search over the Fig. 7 design set (%zu designs, "
               "seed 2013)\n\n",
               designs.size());
-  std::printf("%8s %10s %9s %10s %10s\n", "threads", "seconds", "speedup",
-              "hit-rate", "identical");
+  std::printf("%8s %10s %9s %10s\n", "threads", "seconds", "speedup",
+              "identical");
 
   const RunOutcome reference = run_all(designs, 1, true, true);
   bool all_identical = true;
   for (unsigned threads : {1u, 2u, 4u, 8u}) {
     const RunOutcome r =
         threads == 1 ? reference : run_all(designs, threads, true, true);
-    const std::uint64_t probes = r.cache_hits + r.cache_misses;
-    const double hit_rate =
-        probes == 0 ? 0.0
-                    : static_cast<double>(r.cache_hits) /
-                          static_cast<double>(probes);
     std::size_t mismatches = 0;
     for (std::size_t i = 0; i < designs.size(); ++i)
       if (r.schemes[i] != reference.schemes[i]) ++mismatches;
     all_identical = all_identical && mismatches == 0;
-    std::printf("%8u %10.3f %8.2fx %9.1f%% %10s\n", threads, r.seconds,
-                reference.seconds / r.seconds, 100.0 * hit_rate,
+    std::printf("%8u %10.3f %8.2fx %10s\n", threads, r.seconds,
+                reference.seconds / r.seconds,
                 mismatches == 0
                     ? "yes"
                     : ("NO (" + std::to_string(mismatches) + ")").c_str());
@@ -374,18 +366,14 @@ int main_impl() {
   //                               3-schemes-per-design groups (the shape of
   //                               the search frontier and the serve path)
   // All three must produce the serve suite's exact frame total.
-  std::uint64_t scalar_frames = 0;
-  double serve_scalar_seconds = 0.0;
-  {
-    const simd::ScopedForcedTier forced(simd::Tier::kScalar);
-    serve_scalar_seconds = time_jobs(serve_jobs, true, scalar_frames);
-  }
-  if (scalar_frames != serve_ker_frames) {
-    std::printf("FAIL: forced-scalar frames %llu != active tier %llu\n",
-                static_cast<unsigned long long>(scalar_frames),
-                static_cast<unsigned long long>(serve_ker_frames));
-    return 1;
-  }
+  //
+  // batch_eval_speedup, the ratio of the last two, is floor-gated, so those
+  // two legs run in kBatchRounds interleaved rounds (alternating which goes
+  // first) and each keeps its fastest round: the minimum is the estimate a
+  // busy shared host disturbs least. Every round re-checks the frame total;
+  // the scratch counters report the first round only, so the deterministic
+  // kernel counters do not depend on the round count.
+  constexpr int kBatchRounds = 5;
 
   // serve_jobs was filled three-consecutive-per-design, so batches regroup
   // by run of equal design index.
@@ -403,9 +391,12 @@ int main_impl() {
   for (const BatchJob& b : serve_batches)
     max_batch = std::max(max_batch, b.schemes.size());
   std::vector<SchemeEvaluation> batch_evals(max_batch);
-  std::uint64_t batch_frames = 0;
-  double serve_batch_seconds = 0.0;
-  {
+
+  const auto time_scalar = [&](std::uint64_t& frames) {
+    const simd::ScopedForcedTier forced(simd::Tier::kScalar);
+    return time_jobs(serve_jobs, true, frames);
+  };
+  const auto time_batched = [&](std::uint64_t& frames) {
     const auto started = std::chrono::steady_clock::now();
     for (int rep = 0; rep < kEvalReps; ++rep)
       for (const BatchJob& b : serve_batches) {
@@ -413,18 +404,42 @@ int main_impl() {
             b.schemes.data(), b.schemes.size(), designs[b.design].budget,
             scratch, batch_evals.data());
         for (std::size_t i = 0; i < b.schemes.size(); ++i)
-          batch_frames += batch_evals[i].total_frames;
+          frames += batch_evals[i].total_frames;
       }
-    serve_batch_seconds = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - started)
-                              .count();
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         started)
+        .count();
+  };
+  double serve_scalar_seconds = std::numeric_limits<double>::infinity();
+  double serve_batch_seconds = std::numeric_limits<double>::infinity();
+  EvalStats first_round_stats;
+  for (int round = 0; round < kBatchRounds; ++round) {
+    std::uint64_t scalar_frames = 0, batch_frames = 0;
+    double scalar_s = 0.0, batch_s = 0.0;
+    if (round % 2 == 0) {
+      scalar_s = time_scalar(scalar_frames);
+      batch_s = time_batched(batch_frames);
+    } else {
+      batch_s = time_batched(batch_frames);
+      scalar_s = time_scalar(scalar_frames);
+    }
+    if (scalar_frames != serve_ker_frames) {
+      std::printf("FAIL: forced-scalar frames %llu != active tier %llu\n",
+                  static_cast<unsigned long long>(scalar_frames),
+                  static_cast<unsigned long long>(serve_ker_frames));
+      return 1;
+    }
+    if (batch_frames != serve_ker_frames) {
+      std::printf("FAIL: batched frames %llu != per-scheme frames %llu\n",
+                  static_cast<unsigned long long>(batch_frames),
+                  static_cast<unsigned long long>(serve_ker_frames));
+      return 1;
+    }
+    if (round == 0) first_round_stats = scratch.stats;
+    serve_scalar_seconds = std::min(serve_scalar_seconds, scalar_s);
+    serve_batch_seconds = std::min(serve_batch_seconds, batch_s);
   }
-  if (batch_frames != serve_ker_frames) {
-    std::printf("FAIL: batched frames %llu != per-scheme frames %llu\n",
-                static_cast<unsigned long long>(batch_frames),
-                static_cast<unsigned long long>(serve_ker_frames));
-    return 1;
-  }
+  scratch.stats = first_round_stats;
 
   const double kernel_speedup = ratio(serve_ref_seconds, serve_ker_seconds);
   const double fig7_speedup = ratio(fig7_ref_seconds, fig7_ker_seconds);

@@ -79,8 +79,7 @@ std::string walk_mismatch(const Design& design,
   if (pa.size() != ra.size()) return "alternatives.size";
   for (std::size_t i = 0; i < pa.size(); ++i) {
     if (!same_scheme(pa[i].scheme, ra[i].scheme) ||
-        pa[i].total_frames != ra[i].total_frames ||
-        pa[i].workload_cost != ra[i].workload_cost)
+        pa[i].total_frames != ra[i].total_frames)
       return "alternatives[" + std::to_string(i) + "]";
   }
   return {};

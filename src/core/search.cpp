@@ -6,7 +6,6 @@
 #include <optional>
 #include <utility>
 
-#include "core/cost_cache.hpp"
 #include "core/covering.hpp"
 #include "core/eval_kernel.hpp"
 #include "core/search_internal.hpp"
@@ -76,14 +75,12 @@ class BoundHint {
 /// set's restarts through a version-stamped move table (the restarts share
 /// the initial state, so step-one move scores differ only around the forced
 /// first move). Entirely thread-confined apart from the shared read-only
-/// inputs and the internally synchronised cost cache.
+/// inputs.
 class ChunkRunner {
  public:
   ChunkRunner(const Design& design, const ResourceVec& budget,
-              const SearchOptions& options, GroupCostCache* cache,
-              const State& initial)
-      : design_(design), budget_(budget), options_(options), cache_(cache),
-        s_(initial) {
+              const SearchOptions& options, const State& initial)
+      : design_(design), budget_(budget), options_(options), s_(initial) {
     const std::size_t n = s_.groups.size();
     versions_.resize(n);
     for (std::size_t i = 0; i < n; ++i) versions_[i] = i + 1;
@@ -158,21 +155,6 @@ class ChunkRunner {
     const ResourceVec total = s_.total_res(design_.static_base());
     return objective(budget_excess(total, budget_), s_.ttotal,
                      weighted_area(total));
-  }
-
-  /// Cost of the region formed by merging `ga` and `gb`, memoised on the
-  /// merged member set when the cache is enabled.
-  GroupCost merged_cost(const Group& ga, const Group& gb) {
-    if (!cache_) return merged_group_cost(ga, gb, options_.pair_weights);
-    key_buffer_.resize(ga.members.size() + gb.members.size());
-    std::merge(ga.members.begin(), ga.members.end(), gb.members.begin(),
-               gb.members.end(), key_buffer_.begin());
-    const std::size_t hash = cache_->hash_of(key_buffer_);
-    if (const std::optional<GroupCost> hit = cache_->lookup(key_buffer_, hash))
-      return *hit;
-    const GroupCost cost = merged_group_cost(ga, gb, options_.pair_weights);
-    cache_->store(key_buffer_, cost, hash);
-    return cost;
   }
 
   /// Counts one move evaluation — the deterministic budget unit. Both the
@@ -263,7 +245,7 @@ class ChunkRunner {
     MergeEntry& entry = ctx.row[j];
     if (entry.va != ctx.version || entry.vb != versions_[j]) {
       ++out_.full_evaluations;
-      entry.cost = merged_cost(s_.groups[i], gb);
+      entry.cost = merged_group_cost(s_.groups[i], gb, options_.pair_weights);
       entry.va = ctx.version;
       entry.vb = versions_[j];
     } else {
@@ -294,7 +276,8 @@ class ChunkRunner {
     if (table_.empty()) {
       if (ga.occ.intersects(gb.occ)) return std::nullopt;
       ++out_.full_evaluations;
-      return merge_objective(ga, gb, merged_cost(ga, gb));
+      return merge_objective(ga, gb,
+                             merged_group_cost(ga, gb, options_.pair_weights));
     }
     MergeEntry& entry = table_[i * s_.groups.size() + j];
     if (entry.va == versions_[i] && entry.vb == versions_[j]) {
@@ -302,7 +285,7 @@ class ChunkRunner {
       return merge_objective(ga, gb, entry.cost);
     }
     ++out_.full_evaluations;
-    const GroupCost cost = merged_cost(ga, gb);
+    const GroupCost cost = merged_group_cost(ga, gb, options_.pair_weights);
     entry.va = versions_[i];
     entry.vb = versions_[j];
     entry.cost = cost;
@@ -340,8 +323,8 @@ class ChunkRunner {
     GroupCost cost;
     if (move.kind == Move::Kind::Merge) {
       // The scan that chose this move just scored it, so with the table on
-      // its entry is almost always still valid — reuse it instead of going
-      // back through the shared cost cache (hash + probe + lock).
+      // its entry is almost always still valid — reuse it instead of
+      // recomputing the merge.
       const MergeEntry* entry =
           table_.empty() ? nullptr
                          : &table_[move.a * s_.groups.size() + move.b];
@@ -349,7 +332,8 @@ class ChunkRunner {
           entry->vb == versions_[move.b])
         cost = entry->cost;
       else
-        cost = merged_cost(s_.groups[move.a], s_.groups[move.b]);
+        cost = merged_group_cost(s_.groups[move.a], s_.groups[move.b],
+                                 options_.pair_weights);
     }
     UndoRecord& undo = undo_stack_[undo_depth_++];
     apply_move_into(s_, move, &cost, undo);
@@ -516,8 +500,6 @@ class ChunkRunner {
   const Design& design_;
   const ResourceVec budget_;
   const SearchOptions& options_;
-  GroupCostCache* cache_;
-  GroupCostCache::Key key_buffer_;
   State s_;
   std::vector<std::uint64_t> versions_;
   std::uint64_t version_counter_ = 0;
@@ -555,6 +537,13 @@ class Searcher {
       for (const auto& row : w)
         require(row.size() == matrix_.configs(),
                 "pair_weights must be square");
+      // The search reads both triangles (pair_weight_between) while
+      // pair_weight_within and weighted_total_frames read only i < j, so an
+      // asymmetric matrix would optimise a different objective than the one
+      // reported for the answer.
+      for (std::size_t i = 0; i < w.size(); ++i)
+        for (std::size_t j = i + 1; j < w.size(); ++j)
+          require(w[i][j] == w[j][i], "pair_weights must be symmetric");
     }
     const unsigned threads =
         options_.threads != 0 ? options_.threads : default_thread_count();
@@ -625,15 +614,13 @@ class Searcher {
     // to a relaxed global counter, and with the shared bound hint deciding
     // whether it is worth running at all. The merge below corrects any unit
     // whose speculative cap or prune disagrees with the canonical one.
-    GroupCostCache cache;
-    GroupCostCache* cache_ptr = options_.use_cost_cache ? &cache : nullptr;
     std::vector<UnitOutcome> outcomes(units.size());
     std::atomic<std::uint64_t> consumed_hint{0};
     const std::size_t keep =
         std::max<std::size_t>(1, options_.keep_alternatives);
     BoundHint hint(keep);
     parallel_for(options_.pool, initials.size(), threads, [&](std::size_t k) {
-      ChunkRunner runner(design_, budget_, options_, cache_ptr, initials[k]);
+      ChunkRunner runner(design_, budget_, options_, initials[k]);
       for (std::size_t i = set_units[k].first; i < set_units[k].second; ++i) {
         if (options_.use_bounding) {
           const std::uint64_t lb = unit_lb[i];
@@ -690,8 +677,7 @@ class Searcher {
           out.pruned_speculative || !out.ran ||
           (out.truncated ? out.cap != remaining : out.evals >= remaining);
       if (replay) {
-        ChunkRunner runner(design_, budget_, options_, cache_ptr,
-                           initials[units[i].set]);
+        ChunkRunner runner(design_, budget_, options_, initials[units[i].set]);
         out = runner.run_unit(units[i], remaining);
         ++stats_.units_replayed;
       }
@@ -714,12 +700,6 @@ class Searcher {
     stats_.candidate_sets = any_unit ? last_set + 1 : 0;
     for (const UnitOutcome& out : outcomes)
       if (out.pruned_speculative) ++stats_.units_pruned_speculative;
-    if (cache_ptr) {
-      const GroupCostCache::Stats cs = cache.stats();
-      stats_.cache_hits = cs.hits;
-      stats_.cache_misses = cs.misses;
-      stats_.cache_entries = cache.size();
-    }
 
     SearchResult result;
     result.stats = stats_;
@@ -742,40 +722,6 @@ class Searcher {
           scratch.stats.kernel_evaluations;
       const std::uint64_t scratch_collapsed_before =
           scratch.stats.signature_collapsed_configs;
-      std::vector<std::uint64_t> wcost;
-      if (options_.workload_cost != nullptr) {
-        // Workload re-ranking: certify every kept alternative in one kernel
-        // batch, then stable-sort by the caller's cost, ascending. The
-        // batch scores the same schemes in the same order as per-scheme
-        // calls (same counters, same results); the stable sort keeps the
-        // Eq. 10 + canonical-key order on cost ties, so the re-ranked
-        // result is as deterministic as the unranked one.
-        std::vector<const PartitionScheme*> frontier;
-        frontier.reserve(kept.size());
-        for (const Kept& k : kept) frontier.push_back(&k.scheme);
-        std::vector<SchemeEvaluation> evals;
-        context->evaluate_batch_into(frontier, budget_, scratch, evals);
-        wcost.reserve(kept.size());
-        for (std::size_t i = 0; i < kept.size(); ++i)
-          wcost.push_back(
-              options_.workload_cost->cost(kept[i].scheme, evals[i]));
-        std::vector<std::size_t> rank(kept.size());
-        for (std::size_t i = 0; i < rank.size(); ++i) rank[i] = i;
-        std::stable_sort(rank.begin(), rank.end(),
-                         [&](std::size_t a, std::size_t b) {
-                           return wcost[a] < wcost[b];
-                         });
-        std::vector<Kept> ranked;
-        std::vector<std::uint64_t> ranked_cost;
-        ranked.reserve(kept.size());
-        ranked_cost.reserve(kept.size());
-        for (const std::size_t i : rank) {
-          ranked.push_back(std::move(kept[i]));
-          ranked_cost.push_back(wcost[i]);
-        }
-        kept = std::move(ranked);
-        wcost = std::move(ranked_cost);
-      }
       result.scheme = kept.front().scheme;
       result.scheme.label = "proposed";
       result.eval = context->evaluate(result.scheme, budget_, scratch);
@@ -792,8 +738,7 @@ class Searcher {
       result.alternatives.reserve(kept.size());
       for (std::size_t i = 0; i < kept.size(); ++i)
         result.alternatives.push_back(
-            RankedScheme{std::move(kept[i].scheme), kept[i].ttotal,
-                         wcost.empty() ? 0 : wcost[i]});
+            RankedScheme{std::move(kept[i].scheme), kept[i].ttotal});
       result.alternatives.front().scheme.label = "proposed";
     }
     return result;

@@ -26,22 +26,6 @@ using PairWeights = std::vector<std::vector<std::uint32_t>>;
 std::uint64_t weighted_total_frames(const SchemeEvaluation& evaluation,
                                     const PairWeights& weights);
 
-/// Workload-level cost of a candidate scheme, used to re-rank the search's
-/// near-optimal alternatives by what the running system will actually pay
-/// (e.g. simulated tail reconfiguration latency over a transition trace)
-/// instead of the summed-frames proxy the search optimises. Implemented in
-/// src/sim (SimulatedWorkloadCost); core only sees the interface so the
-/// dependency arrow keeps pointing sim -> core.
-class WorkloadCost {
- public:
-  virtual ~WorkloadCost() = default;
-  /// Lower is better. Must be a pure function of its arguments: the search
-  /// may evaluate alternatives in any order (ties keep the Eq. 10 order, so
-  /// re-ranking with any cost function is still deterministic).
-  virtual std::uint64_t cost(const PartitionScheme& scheme,
-                             const SchemeEvaluation& evaluation) const = 0;
-};
-
 /// Effort knobs of the region-allocation search. Defaults suit a single
 /// design run; the synthetic sweep benches lower the evaluation budget.
 struct SearchOptions {
@@ -73,11 +57,6 @@ struct SearchOptions {
   /// caller. Every value returns bit-identical schemes and deterministic
   /// core stats — see DESIGN.md, "Parallel region-allocation search".
   unsigned threads = 0;
-  /// Memoise per-member-set group costs (area, tiles, frames, pair weight)
-  /// in a cache shared across all branches and threads of this search.
-  /// Results are identical with the cache off; the switch exists for
-  /// benchmarking and fault isolation.
-  bool use_cost_cache = true;
   /// Branch-and-bound pruning: drop a restart unit without running it when
   /// an admissible lower bound on every fitting completion of its start
   /// state (completion_lower_bound, see DESIGN.md §4c) proves it cannot
@@ -119,13 +98,6 @@ struct SearchOptions {
   /// state across jobs (§4e). `threads` keeps its meaning as the logical
   /// cap; a pooled run uses the pool's fixed thread count.
   WorkerPool* pool = nullptr;
-  /// Optional workload-cost re-ranking hook (nullable; must outlive the
-  /// search). When set, the kept alternatives are each certified with the
-  /// evaluation kernel and stable-sorted by WorkloadCost::cost ascending;
-  /// the returned scheme/eval become the cheapest alternative under the
-  /// workload instead of the lowest Eq. 10 sum. The search itself (moves,
-  /// pruning, budget) is unaffected — only the final ranking changes.
-  const WorkloadCost* workload_cost = nullptr;
   /// Cooperative cancellation (nullable; must outlive the search). Workers
   /// poll it at unit boundaries and every few hundred move evaluations;
   /// when it fires the search unwinds with CancelledError instead of
@@ -139,9 +111,6 @@ struct SearchOptions {
 struct RankedScheme {
   PartitionScheme scheme;
   std::uint64_t total_frames = 0;  ///< search objective (weighted if set)
-  /// WorkloadCost::cost of the scheme; 0 unless SearchOptions::workload_cost
-  /// was set, in which case alternatives are ordered by this field.
-  std::uint64_t workload_cost = 0;
 };
 
 struct SearchStats {
@@ -193,9 +162,6 @@ struct SearchStats {
   std::uint64_t full_evaluations = 0;
   /// Move considerations served from the incremental move table.
   std::uint64_t moves_rescored = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::size_t cache_entries = 0;
 };
 
 struct SearchResult {
@@ -206,8 +172,7 @@ struct SearchResult {
   /// Evaluation of `scheme` (computed with evaluate_scheme, including the
   /// worst-case transition time). Meaningful only when feasible.
   SchemeEvaluation eval;
-  /// Best fitting schemes in ascending objective order (ascending workload
-  /// cost when SearchOptions::workload_cost is set); the first entry is
+  /// Best fitting schemes in ascending objective order; the first entry is
   /// `scheme` itself. At most SearchOptions::keep_alternatives entries.
   std::vector<RankedScheme> alternatives;
   SearchStats stats;

@@ -17,7 +17,6 @@
 
 #include "core/base_partition.hpp"
 #include "core/compatibility.hpp"
-#include "core/cost_cache.hpp"
 #include "core/scheme.hpp"
 #include "core/search.hpp"
 #include "device/resources.hpp"
@@ -65,6 +64,16 @@ struct Objective {
   }
 };
 
+/// The member-set-determined part of a region's cost model: every field is a
+/// pure function of the set of base partitions in the region (areas are
+/// element-wise maxima, tw_union sums pair weights over the occupancy union).
+struct GroupCost {
+  ResourceVec raw;               ///< element-wise max of member areas (Eq. 2)
+  TileCount tiles;               ///< Eqs. 3-5 on raw
+  std::uint64_t frames = 0;      ///< Eq. 6
+  std::uint64_t tw_union = 0;    ///< pair weight over the occupancy union
+};
+
 /// One region-in-progress: a set of base partitions plus the incremental
 /// cost-model quantities needed to evaluate moves in O(1).
 ///
@@ -74,8 +83,8 @@ struct Objective {
 /// difference, times frames, is the group's (possibly weighted) Eq. 10
 /// term. With uniform weights tw_union = C(|occ|, 2).
 ///
-/// `members` is kept sorted at all times: the sorted member set is the
-/// group's identity in the shared cost cache.
+/// `members` is kept sorted at all times (a merge interleaves two sorted
+/// lists).
 struct Group {
   std::vector<std::size_t> members;
   DynBitset occ;             ///< union of member occupancies (configs)
@@ -122,7 +131,7 @@ std::uint64_t pair_weight_between(const PairWeights* weights, const Group& a,
 std::vector<Move> moves_of(const State& s, bool allow_static_promotion);
 
 /// The member-set-determined cost of merging `a` and `b` (pure compute; the
-/// search layers its memo caches above this).
+/// search's per-worker move table memoises it across restarts).
 GroupCost merged_group_cost(const Group& a, const Group& b,
                             const PairWeights* weights);
 

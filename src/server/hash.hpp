@@ -24,7 +24,7 @@ std::string content_hash(const std::string& bytes);
 
 /// Cache key of a partition job: canonical design form + target (device
 /// name or explicit budget) + every PartitionerOptions field that can alter
-/// the result. `threads` and `use_cost_cache` are deliberately excluded —
+/// the result. `threads` and `use_move_table` are deliberately excluded —
 /// the search returns byte-identical schemes for any value of either, so
 /// submissions differing only there share one cache entry.
 std::string job_cache_key(const Design& design, const std::string& target,

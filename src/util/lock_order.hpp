@@ -25,9 +25,8 @@ namespace prpart::lock_order {
 ///   * `kServerQueue` is near-leaf: only the log may be acquired beneath
 ///     it. Everything a job needs (cache store, stats fold, search locks)
 ///     happens before or after the queue critical section, never inside.
-///   * The search-internal levels (`kSearchBoundHint`, `kCostCacheShard`)
-///     order the shared state of one region-allocation search; shards are
-///     one level, so holding two shards at once is (deliberately) illegal.
+///   * `kSearchBoundHint` guards the one piece of shared state of a
+///     region-allocation search (the speculative leaderboard hint).
 ///   * `kServerLog` is the true leaf: a log line may be emitted while
 ///     holding anything.
 ///
@@ -54,12 +53,11 @@ enum class Level : std::uint32_t {
                           ///< the reverse is illegal.
   kWorkerPool = 45,       ///< persistent WorkerPool dispatch state. Above
                           ///< the server layers (a job submits work while
-                          ///< holding no server lock) and below every
-                          ///< search lock: pool workers take bound-hint /
-                          ///< cost-cache locks inside their bodies, after
-                          ///< the pool mutex is released.
+                          ///< holding no server lock) and below the search
+                          ///< lock: pool workers take the bound-hint lock
+                          ///< inside their bodies, after the pool mutex is
+                          ///< released.
   kSearchBoundHint = 50,  ///< shared leaderboard hint of the parallel search
-  kCostCacheShard = 60,   ///< one GroupCostCache shard (never two at once)
   kParallelForError = 70, ///< first-exception slot of a parallel_for pool
   kServerQueue = 80,      ///< bounded job queue + admission control
   kReactorOutbox = 85,    ///< reactor completion queue: finished responses

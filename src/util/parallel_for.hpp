@@ -58,8 +58,8 @@ unsigned default_thread_count(const char* env_var = "PRPART_THREADS");
 /// its job workers its own pool). Concurrent calls are detected and throw.
 ///
 /// The internal mutex registers at lock_order::Level::kWorkerPool — below
-/// the search locks (bodies acquire bound-hint/cost-cache levels after the
-/// pool mutex is dropped) and above the server layers.
+/// the search lock (bodies acquire the bound-hint level after the pool
+/// mutex is dropped) and above the server layers.
 class WorkerPool {
  public:
   /// Spawns `threads - 1` workers (threads <= 1 means run() is inline).

@@ -89,9 +89,9 @@ std::vector<si::Move> valid_moves(const si::State& s, bool allow_promotion) {
   return out;
 }
 
-GroupCost move_cost(const si::State& s, const si::Move& m,
+si::GroupCost move_cost(const si::State& s, const si::Move& m,
                     const PairWeights* weights) {
-  GroupCost cost;
+  si::GroupCost cost;
   if (m.kind == si::Move::Kind::Merge)
     cost = si::merged_group_cost(s.groups[m.a], s.groups[m.b], weights);
   return cost;
@@ -103,7 +103,7 @@ void apply_random_move(si::State& s, Rng& rng, bool allow_promotion,
   const std::vector<si::Move> moves = valid_moves(s, allow_promotion);
   ASSERT_FALSE(moves.empty());
   const si::Move m = moves[rng.below(moves.size())];
-  GroupCost cost = move_cost(s, m, weights);
+  si::GroupCost cost = move_cost(s, m, weights);
   si::UndoRecord undo = si::apply_move(s, m, &cost);
   if (undo_log) undo_log->push_back(std::move(undo));
 }
@@ -127,7 +127,7 @@ void check_unit_bounds(Harness& h, const ResourceVec& budget,
   const std::uint64_t root = h.bound(s, budget, allow_promotion, weights);
   ASSERT_EQ(units.root(), root);
   for (const si::Move& m : valid_moves(s, allow_promotion)) {
-    GroupCost cost = move_cost(s, m, weights);
+    si::GroupCost cost = move_cost(s, m, weights);
     const std::uint64_t fixed = units.after(m, &cost);
     si::State start = s;
     si::apply_move(start, m, &cost);
@@ -194,7 +194,7 @@ void check_playout(Harness& h, const ResourceVec& budget, Rng& rng,
     const si::UnitBounds units(s, h.design.static_base(), budget,
                                allow_promotion, si::min_pair_weight(weights));
     const si::Move m = firsts[rng.below(firsts.size())];
-    GroupCost cost = move_cost(s, m, weights);
+    si::GroupCost cost = move_cost(s, m, weights);
     unit_lb = units.after(m, &cost);
     si::apply_move(s, m, &cost);
     visit(s);
@@ -261,7 +261,7 @@ TEST(SearchBound, OversizedStaticProvesNoFittingCompletion) {
   si::State s = h.initial();
   // Promote one group under a budget far below its area: the static side
   // alone exceeds the budget, so no completion can ever fit.
-  GroupCost unused;
+  si::GroupCost unused;
   si::UndoRecord undo =
       si::apply_move(s, si::Move{si::Move::Kind::Promote, 0, 0}, &unused);
   const ResourceVec tiny{1, 0, 0};

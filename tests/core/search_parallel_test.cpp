@@ -114,10 +114,25 @@ TEST(SearchParallel, TruncationPointsAreByteIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(SearchParallel, CacheOffIsByteIdenticalAcrossThreadCounts) {
+TEST(SearchParallel, SkewedWeightsAreByteIdenticalAcrossThreadCounts) {
+  // A weighted search (the transition-probability generalisation of
+  // Eq. 10): one dominant configuration pair plus a spread of distinct
+  // weights, so the weighted objective orders schemes differently from the
+  // uniform one and pair_weight_between sees every weight.
   Harness h(paper_example());
+  const std::size_t n = h.matrix.configs();
+  PairWeights skewed(n, std::vector<std::uint32_t>(n, 0));
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = i + 1; j < n; ++j)
+      skewed[i][j] = skewed[j][i] =
+          static_cast<std::uint32_t>(1 + (i * 7 + j * 3) % 11);
+  skewed[0][4] = skewed[4][0] = 10000;  // Conf1 <-> Conf5 dominates
   SearchOptions opt;
-  opt.use_cost_cache = false;
+  opt.pair_weights = &skewed;
+  opt.keep_alternatives = 6;
+  expect_thread_count_invariant(h, {900, 8, 16}, opt);
+  // And mid-unit truncation under the weighted objective.
+  opt.max_move_evaluations = 200;
   expect_thread_count_invariant(h, {900, 8, 16}, opt);
 }
 

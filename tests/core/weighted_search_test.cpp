@@ -79,6 +79,16 @@ TEST(WeightedSearch, RejectsMalformedWeights) {
   EXPECT_THROW(search_partitioning(h.design, h.matrix, h.partitions, h.compat,
                                    {900, 8, 16}, opt),
                InternalError);
+
+  // Square but asymmetric: the search's between-group sum reads both
+  // triangles while weighted_total_frames reads only i < j, so the two
+  // would disagree on the objective.
+  PairWeights lopsided = uniform_weights(h.matrix.configs(), 1);
+  lopsided[0][4] = 10000;
+  opt.pair_weights = &lopsided;
+  EXPECT_THROW(search_partitioning(h.design, h.matrix, h.partitions, h.compat,
+                                   {900, 8, 16}, opt),
+               InternalError);
 }
 
 TEST(WeightedSearch, SkewedWeightsShiftTheOptimum) {

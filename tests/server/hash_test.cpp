@@ -103,14 +103,13 @@ TEST(HashTest, HashIsAFixedWidthHexDigest) {
   EXPECT_NE(digest, content_hash("payloae"));
 }
 
-TEST(HashTest, CacheKeyIgnoresThreadsAndCostCache) {
+TEST(HashTest, CacheKeyIgnoresThreads) {
   const Design design = reference_design();
   PartitionerOptions a;
   PartitionerOptions b;
   b.search.threads = 8;
-  b.search.use_cost_cache = !a.search.use_cost_cache;
-  // Thread count and memoisation change how the search runs, never what it
-  // returns, so they must not fragment the cache.
+  // The thread count changes how the search runs, never what it returns,
+  // so it must not fragment the cache.
   EXPECT_EQ(job_cache_key(design, "auto", a), job_cache_key(design, "auto", b));
 }
 

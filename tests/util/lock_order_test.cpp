@@ -94,23 +94,23 @@ TEST_F(LockOrderTest, StatsUnderQueueLockIsAnInversion) {
 
 TEST_F(LockOrderTest, SameLevelNestingIsReported) {
   PRPART_SKIP_IF_TSAN();
-  // Two cost-cache shards at once would deadlock against a thread taking
+  // Two locks of one level at once would deadlock against a thread taking
   // them in the opposite order; same-level nesting is therefore illegal.
-  Mutex a(lock_order::Level::kCostCacheShard, "test.shard-a");
-  Mutex b(lock_order::Level::kCostCacheShard, "test.shard-b");
+  Mutex a(lock_order::Level::kSearchBoundHint, "test.hint-a");
+  Mutex b(lock_order::Level::kSearchBoundHint, "test.hint-b");
   {
     const MutexLock la(a);
     const MutexLock lb(b);
   }
   ASSERT_EQ(reports().size(), 1u);
-  EXPECT_NE(reports()[0].find("test.shard-a"), std::string::npos);
-  EXPECT_NE(reports()[0].find("test.shard-b"), std::string::npos);
+  EXPECT_NE(reports()[0].find("test.hint-a"), std::string::npos);
+  EXPECT_NE(reports()[0].find("test.hint-b"), std::string::npos);
 }
 
 TEST_F(LockOrderTest, SequentialSameLevelIsClean) {
-  // One shard at a time (GroupCostCache::size()'s pattern) is fine.
-  Mutex a(lock_order::Level::kCostCacheShard, "test.shard-a");
-  Mutex b(lock_order::Level::kCostCacheShard, "test.shard-b");
+  // One lock of a level at a time is fine.
+  Mutex a(lock_order::Level::kSearchBoundHint, "test.hint-a");
+  Mutex b(lock_order::Level::kSearchBoundHint, "test.hint-b");
   {
     const MutexLock la(a);
   }
