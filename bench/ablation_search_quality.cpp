@@ -2,9 +2,13 @@
 // an exact branch-and-bound reference, on small synthetic designs where the
 // exact search is tractable. Both are restricted to mode-level candidate
 // sets for a like-for-like comparison; the full heuristic (multiple
-// candidate sets) is shown as a third column.
+// candidate sets) is shown as a third column. Restricted to the same set,
+// the heuristic can never beat the exact optimum (nor fit where the exact
+// search proves nothing fits): the bench exits 1 if it does, since that
+// would mean the exact enumerator is unsound.
 #include <chrono>
 #include <iostream>
+#include <string>
 
 #include "core/clustering.hpp"
 #include "core/optimal.hpp"
@@ -26,6 +30,8 @@ int main() {
   small.max_modes = 3;
 
   std::size_t compared = 0, heuristic_optimal = 0, full_beats_optimal = 0;
+  std::size_t heuristic_beats_optimal = 0;
+  std::uint64_t exact_states = 0;
   double worst_gap = 0.0, sum_gap = 0.0;
   double opt_seconds = 0.0, heur_seconds = 0.0;
 
@@ -55,7 +61,18 @@ int main() {
     auto t2 = std::chrono::steady_clock::now();
     opt_seconds += std::chrono::duration<double>(t1 - t0).count();
     heur_seconds += std::chrono::duration<double>(t2 - t1).count();
+    exact_states += opt.states_explored;
 
+    if (!opt.exhausted && heur.feasible &&
+        (!opt.feasible || heur.eval.total_frames < opt.eval.total_frames)) {
+      ++heuristic_beats_optimal;
+      std::cerr << "design " << seed << ": one-set heuristic fits at "
+                << heur.eval.total_frames << " frames; exact search: "
+                << (opt.feasible
+                        ? std::to_string(opt.eval.total_frames) + " frames"
+                        : std::string("nothing fits"))
+                << "\n";
+    }
     if (!opt.feasible || opt.exhausted || !heur.feasible) continue;
     ++compared;
     const auto o = static_cast<double>(opt.eval.total_frames);
@@ -78,12 +95,24 @@ int main() {
   t.add_row({"worst heuristic gap", fixed(worst_gap, 2) + "%"});
   t.add_row({"full heuristic beats mode-level optimum",
              std::to_string(full_beats_optimal)});
+  t.add_row({"exact states explored", with_commas(exact_states)});
   t.add_row({"exact search time", fixed(opt_seconds, 2) + " s"});
   t.add_row({"heuristic time (both runs)", fixed(heur_seconds, 2) + " s"});
   std::cout << t.render();
-  std::cout << "\nReading: the restart heuristic tracks the exact optimum "
-               "closely at a fraction of the cost, and occasionally beats "
-               "the mode-level optimum outright by using multi-mode base "
-               "partitions from deeper candidate sets.\n";
+  std::cout << "\nReading: the one-set heuristic matched the exact "
+               "mode-level optimum on "
+            << heuristic_optimal << "/" << compared
+            << " comparable designs, and the full heuristic's deeper "
+               "candidate sets beat that optimum on "
+            << full_beats_optimal
+            << ". At this size the fit-pruned exact search costs less than "
+               "the heuristic; its cost grows exponentially with the number "
+               "of partitions, the heuristic's does not.\n";
+  if (heuristic_beats_optimal != 0) {
+    std::cerr << heuristic_beats_optimal
+              << " designs where the one-set heuristic beats the exact "
+                 "optimum: the exact search is unsound\n";
+    return 1;
+  }
   return 0;
 }

@@ -21,6 +21,7 @@
 #include "core/partitioner.hpp"
 #include "core/report.hpp"
 #include "core/result_io.hpp"
+#include "core/schemes.hpp"
 #include "design/io_xml.hpp"
 #include "design/synthetic.hpp"
 #include "floorplan/floorplanner.hpp"
@@ -127,6 +128,14 @@ period (needs --prefetch). The stateful model never loads fewer frames
 than the memoryless one; compare --prefetch runs with each other, not
 with plain ones. Results are byte-deterministic for a given seed at any
 --threads value.
+
+`optimal` runs the exact search over the mode-level candidate set: every
+grouping of its partitions into regions or the static logic, on the
+smallest device the design's single region fits unless --device or
+--budget says otherwise. `states` counts the assignment nodes visited; a
+node whose partial assignment no longer fits, or already costs the best
+total found, is not expanded. --states caps them (default 2,000,000; the
+answer is then best effort).
 )";
 
 std::string read_file(const std::string& path) {
@@ -798,8 +807,9 @@ int cmd_optimal(const Args& args, std::ostream& out, std::ostream& err) {
   } else if (const auto device = args.value("device")) {
     budget = lib.by_name(*device).capacity();
   } else {
-    const Device* d = lib.smallest_fitting(
-        design.largest_configuration_area() + design.static_base());
+    // The tile-rounded single-region footprint, as the device walk uses:
+    // a device below it admits no PR scheme.
+    const Device* d = lib.smallest_fitting(single_region_footprint(design));
     if (!d) {
       err << "design fits no library device\n";
       return 2;

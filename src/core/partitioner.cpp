@@ -6,7 +6,7 @@
 #include "core/compatibility.hpp"
 #include "core/connectivity.hpp"
 #include "core/eval_kernel.hpp"
-#include "core/fit_proof.hpp"
+#include "core/optimal.hpp"
 #include "core/schemes.hpp"
 #include "util/status.hpp"
 

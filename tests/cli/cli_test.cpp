@@ -463,6 +463,26 @@ TEST_F(CliTest, OptimalOnSmallDesign) {
   EXPECT_NE(r.out.find("exact mode-level optimum"), std::string::npos);
 }
 
+TEST_F(CliTest, OptimalDefaultDeviceIsTheOnePartitionTargets) {
+  // Regression: without --device/--budget, optimal picked the smallest
+  // device fitting the raw largest configuration. For this design that is
+  // XC5VLX20T, which its tile-rounded single region does not fit, so the
+  // command failed; partition (and the exact search) target XC5VLX30.
+  const std::string small = (dir_ / "mem734.xml").string();
+  ASSERT_EQ(invoke({"generate", "--seed", "734", "--class", "memory",
+                    "--out", small})
+                .code,
+            0);
+  const CliRun r = invoke({"optimal", small});
+  EXPECT_EQ(r.code, 0) << r.err;
+  EXPECT_NE(r.out.find("using XC5VLX30\n"), std::string::npos) << r.out;
+  EXPECT_NE(r.out.find("total reconfiguration: 39,728 frames"),
+            std::string::npos)
+      << r.out;
+  const CliRun part = invoke({"partition", small});
+  EXPECT_NE(part.out.find("target device: XC5VLX30\n"), std::string::npos);
+}
+
 TEST_F(CliTest, OptimalInfeasibleBudget) {
   const std::string small = (dir_ / "small2.xml").string();
   invoke({"generate", "--seed", "4", "--class", "logic", "--out", small});
