@@ -56,7 +56,7 @@ class BoundHint {
     if (entries.empty()) return;
     const MutexLock lock(mutex_);
     for (const Kept& e : entries)
-      insert_kept(kept_, Kept{e.ttotal, e.warea, e.key, {}}, keep_);
+      insert_kept(kept_, e, keep_);
     if (kept_.size() >= keep_)
       worst_.store(kept_.back().ttotal, std::memory_order_relaxed);
   }
@@ -64,8 +64,7 @@ class BoundHint {
  private:
   const std::size_t keep_;
   Mutex mutex_{lock_order::Level::kSearchBoundHint, "search.bound_hint"};
-  std::vector<Kept> kept_ PRPART_GUARDED_BY(mutex_);  ///< schemes omitted;
-                                                      ///< only order matters
+  std::vector<Kept> kept_ PRPART_GUARDED_BY(mutex_);
   std::atomic<std::uint64_t> worst_{~std::uint64_t{0}};
 };
 
@@ -157,36 +156,25 @@ class ChunkRunner {
                      weighted_area(total));
   }
 
-  /// Counts one move evaluation — the deterministic budget unit. Both the
-  /// fresh and the rescored path pay it, so truncation points (and with
-  /// them every result) are independent of the move table.
-  void count_evaluation() {
-    ++out_.evals;
-    if (out_.evals >= out_.cap) out_.truncated = true;
-    // Cancellation point, gated so the clock read costs nothing on the hot
-    // path. 512 evaluations bound the cancel latency to microseconds.
-    if ((out_.evals & 511u) == 0) check_cancel(options_.cancel);
-  }
-
-  /// Counts `k` budget units at once for moves rejected without side
-  /// effects (the incompatible pairs the word scan skips wholesale).
-  /// Reproduces counting them one by one exactly: the counter stops at the
-  /// first increment that reaches the cap, and a cancellation check fires
-  /// whenever a 512-evaluation boundary is crossed. Returns true when the
-  /// unit truncated.
-  bool count_skipped(std::uint64_t k) {
-    if (k == 0) return out_.truncated;
-    const std::uint64_t before = out_.evals;
-    const std::uint64_t need =
-        out_.cap > before ? out_.cap - before : std::uint64_t{1};
-    if (k >= need) {
-      out_.evals = before + need;
+  /// Charges one greedy scan to the budget before it runs: every alive
+  /// pair is one merge consideration and every alive group one promotion
+  /// (the budget unit is a considered move, compatible or not). When the
+  /// scan would reach the cap, the unit ends there with evals == cap and
+  /// applies nothing, exactly as counting the considerations one by one
+  /// would end it: a scan cut short never applies its best move. Returns
+  /// false then.
+  bool charge_scan() {
+    const std::uint64_t alive = s_.alive;
+    const std::uint64_t length =
+        alive * (alive - 1) / 2 +
+        (options_.allow_static_promotion ? alive : 0);
+    if (length >= out_.cap - out_.evals) {
+      out_.evals = out_.cap;
       out_.truncated = true;
-      return true;
+      return false;
     }
-    out_.evals = before + k;
-    if ((out_.evals >> 9) != (before >> 9)) check_cancel(options_.cancel);
-    return false;
+    out_.evals += length;
+    return true;
   }
 
   Objective merge_objective(const Group& ga, const Group& gb,
@@ -236,11 +224,11 @@ class ChunkRunner {
     return ctx;
   }
 
-  /// evaluate_merge specialised for the table path with the row context
-  /// hoisted; compatibility was already established by the word scan.
+  /// The table path's merge score, with the row context hoisted;
+  /// compatibility was already established by the word scan. Serves the
+  /// merge cost from the move table when both version stamps still match.
   Objective evaluate_merge_row(const RowCtx& ctx, std::size_t i,
                                std::size_t j) {
-    count_evaluation();
     const Group& gb = s_.groups[j];
     MergeEntry& entry = ctx.row[j];
     if (entry.va != ctx.version || entry.vb != versions_[j]) {
@@ -264,39 +252,21 @@ class ChunkRunner {
                      weighted_area(total));
   }
 
-  /// Metrics of the state merging groups i and j would produce, nullopt for
-  /// incompatible pairs. Counts one move evaluation; serves the score from
-  /// the move table when both version stamps still match. With the table
-  /// (and its compat_ rows) enabled, the caller has already rejected
-  /// incompatible pairs, so only the table-less path re-checks occupancy.
+  /// The table-less path's merge score: nullopt for incompatible pairs,
+  /// otherwise the merge cost computed from scratch.
   std::optional<Objective> evaluate_merge(std::size_t i, std::size_t j) {
-    count_evaluation();
     const Group& ga = s_.groups[i];
     const Group& gb = s_.groups[j];
-    if (table_.empty()) {
-      if (ga.occ.intersects(gb.occ)) return std::nullopt;
-      ++out_.full_evaluations;
-      return merge_objective(ga, gb,
-                             merged_group_cost(ga, gb, options_.pair_weights));
-    }
-    MergeEntry& entry = table_[i * s_.groups.size() + j];
-    if (entry.va == versions_[i] && entry.vb == versions_[j]) {
-      ++out_.moves_rescored;
-      return merge_objective(ga, gb, entry.cost);
-    }
+    if (ga.occ.intersects(gb.occ)) return std::nullopt;
     ++out_.full_evaluations;
-    const GroupCost cost = merged_group_cost(ga, gb, options_.pair_weights);
-    entry.va = versions_[i];
-    entry.vb = versions_[j];
-    entry.cost = cost;
-    return merge_objective(ga, gb, cost);
+    return merge_objective(ga, gb,
+                           merged_group_cost(ga, gb, options_.pair_weights));
   }
 
   /// Metrics of promoting group i into the static region: the whole
   /// group's mode set becomes permanently present. Already O(1) from the
   /// group's incremental fields — no table needed.
   Objective evaluate_promote(std::size_t i) {
-    count_evaluation();
     const Group& ga = s_.groups[i];
     ResourceVec total = scan_base_ + ga.promote_area;
     total.clbs -= ga.tiles.resources().clbs;
@@ -317,6 +287,20 @@ class ChunkRunner {
     alive_list_.insert(
         std::lower_bound(alive_list_.begin(), alive_list_.end(), g), g);
     alive_mask_.set(g);
+  }
+
+  /// Calls fn(k) for every bit k set in `before` but not in `after` (the
+  /// partners a compatibility row lost; rows only ever shrink by a merge).
+  template <typename Fn>
+  static void for_each_lost(const DynBitset& before, const DynBitset& after,
+                            Fn&& fn) {
+    for (std::size_t w = 0; w < before.word_count(); ++w) {
+      std::uint64_t lost = before.word(w) & ~after.word(w);
+      while (lost != 0) {
+        fn(w * 64 + static_cast<std::size_t>(std::countr_zero(lost)));
+        lost &= lost - 1;
+      }
+    }
   }
 
   void apply(const Move& move) {
@@ -343,17 +327,14 @@ class ChunkRunner {
       versions_[move.a] = ++version_counter_;
       if (!compat_.empty()) {
         // Group a absorbed b's occupancy: a is now compatible with exactly
-        // the groups both were compatible with. Row first, then mirror the
-        // column so the rows stay symmetric.
-        row_undo_[undo_depth_ - 1] = compat_[move.a];
+        // the groups both were compatible with. Row a only shrinks, so
+        // keeping the rows symmetric means clearing bit a in the rows of
+        // the partners it lost, and no others.
+        DynBitset& saved = row_undo_[undo_depth_ - 1];
+        saved = compat_[move.a];
         compat_[move.a] &= compat_[move.b];
-        for (std::size_t k = 0; k < compat_.size(); ++k) {
-          if (k == move.a) continue;
-          if (compat_[move.a].test(k))
-            compat_[k].set(move.a);
-          else
-            compat_[k].reset(move.a);
-        }
+        for_each_lost(saved, compat_[move.a],
+                      [&](std::size_t k) { compat_[k].reset(move.a); });
       }
     }
   }
@@ -368,14 +349,10 @@ class ChunkRunner {
       alive_insert(undo.move.kind == Move::Kind::Merge ? undo.move.b
                                                        : undo.move.a);
       if (undo.move.kind == Move::Kind::Merge && !compat_.empty()) {
-        compat_[undo.move.a] = row_undo_[undo_depth_];
-        for (std::size_t k = 0; k < compat_.size(); ++k) {
-          if (k == undo.move.a) continue;
-          if (compat_[undo.move.a].test(k))
-            compat_[k].set(undo.move.a);
-          else
-            compat_[k].reset(undo.move.a);
-        }
+        const DynBitset& saved = row_undo_[undo_depth_];
+        for_each_lost(saved, compat_[undo.move.a],
+                      [&](std::size_t k) { compat_[k].set(undo.move.a); });
+        compat_[undo.move.a] = saved;
       }
       undo_move(s_, undo);
     }
@@ -400,8 +377,7 @@ class ChunkRunner {
     Kept entry;
     entry.ttotal = s_.ttotal;
     entry.warea = warea;
-    entry.scheme = canonical_scheme(s_);
-    entry.key = scheme_key(entry.scheme);
+    entry.key = state_key(s_);
     insert_kept(out_.kept, std::move(entry), keep);
   }
 
@@ -411,57 +387,36 @@ class ChunkRunner {
   void greedy() {
     ++out_.greedy_runs;
     record();
-    while (s_.alive > 0 && !out_.truncated) {
+    while (s_.alive > 0) {
       check_cancel(options_.cancel);
+      if (!charge_scan()) return;
       std::optional<Move> best_move;
       scan_base_ = s_.pr_res + design_.static_base() + s_.static_extra;
       Objective best_obj = state_objective();
       if (!compat_.empty()) {
         // Table path: scan the words of (compat row & alive mask) so only
-        // compatible alive partners are visited bit by bit; the alive-but-
-        // incompatible partners in between are charged to the budget in
-        // bulk (they have no side effects), preserving the exact per-pair
-        // truncation points of the scalar walk. The enumeration stays the
-        // canonical ascending (i, j) order.
-        for (std::size_t ii = 0; ii < alive_list_.size(); ++ii) {
-          const std::size_t i = alive_list_[ii];
+        // compatible alive partners are visited, in the canonical ascending
+        // (i, j) order; the incompatible ones were charged with the scan.
+        for (const std::size_t i : alive_list_) {
           const DynBitset& row = compat_[i];
           const RowCtx ctx = row_ctx(i);
           const std::size_t start = i + 1;
           for (std::size_t w = start / 64; w < alive_mask_.word_count(); ++w) {
-            const std::uint64_t range =
-                w == start / 64 ? ~std::uint64_t{0} << (start % 64)
-                                : ~std::uint64_t{0};
-            const std::uint64_t alive_w = alive_mask_.word(w) & range;
-            std::uint64_t comp_w = alive_w & row.word(w);
-            const std::uint64_t incomp_w = alive_w & ~row.word(w);
-            std::uint64_t skipped_before = 0;
+            std::uint64_t comp_w = alive_mask_.word(w) & row.word(w);
+            if (w == start / 64) comp_w &= ~std::uint64_t{0} << (start % 64);
             while (comp_w != 0) {
-              const int b = std::countr_zero(comp_w);
+              const std::size_t j =
+                  w * 64 + static_cast<std::size_t>(std::countr_zero(comp_w));
               comp_w &= comp_w - 1;
-              const std::uint64_t below =
-                  b == 0 ? 0 : incomp_w & ((std::uint64_t{1} << b) - 1);
-              const std::uint64_t k =
-                  static_cast<std::uint64_t>(std::popcount(below)) -
-                  skipped_before;
-              skipped_before += k;
-              if (count_skipped(k)) return;
-              const std::size_t j = w * 64 + static_cast<std::size_t>(b);
               const Objective obj = evaluate_merge_row(ctx, i, j);
-              if (out_.truncated) return;
               if (obj < best_obj) {
                 best_obj = obj;
                 best_move = Move{Move::Kind::Merge, i, j};
               }
             }
-            const std::uint64_t tail =
-                static_cast<std::uint64_t>(std::popcount(incomp_w)) -
-                skipped_before;
-            if (count_skipped(tail)) return;
           }
           if (options_.allow_static_promotion) {
             const Objective obj = evaluate_promote(i);
-            if (out_.truncated) return;
             if (obj < best_obj) {
               best_obj = obj;
               best_move = Move{Move::Kind::Promote, i, 0};
@@ -472,10 +427,12 @@ class ChunkRunner {
         const std::size_t n = s_.groups.size();
         for (std::size_t i = 0; i < n; ++i) {
           if (!s_.groups[i].alive) continue;
+          // One poll per row keeps the cancel latency at O(n) merge costs
+          // however large the candidate set.
+          check_cancel(options_.cancel);
           for (std::size_t j = i + 1; j < n; ++j) {
             if (!s_.groups[j].alive) continue;
             const std::optional<Objective> obj = evaluate_merge(i, j);
-            if (out_.truncated) return;
             if (obj && *obj < best_obj) {
               best_obj = *obj;
               best_move = Move{Move::Kind::Merge, i, j};
@@ -483,7 +440,6 @@ class ChunkRunner {
           }
           if (options_.allow_static_promotion) {
             const Objective obj = evaluate_promote(i);
-            if (out_.truncated) return;
             if (obj < best_obj) {
               best_obj = obj;
               best_move = Move{Move::Kind::Promote, i, 0};
@@ -722,8 +678,12 @@ class Searcher {
           scratch.stats.kernel_evaluations;
       const std::uint64_t scratch_collapsed_before =
           scratch.stats.signature_collapsed_configs;
-      result.scheme = kept.front().scheme;
-      result.scheme.label = "proposed";
+      result.alternatives.reserve(kept.size());
+      for (const Kept& entry : kept)
+        result.alternatives.push_back(
+            RankedScheme{scheme_from_key(entry.key), entry.ttotal});
+      result.alternatives.front().scheme.label = "proposed";
+      result.scheme = result.alternatives.front().scheme;
       result.eval = context->evaluate(result.scheme, budget_, scratch);
       // Fold the kernel work of *this call* (the scratch may be a warm
       // caller-provided one carrying earlier jobs' counts).
@@ -735,11 +695,6 @@ class Searcher {
       require(result.eval.valid, "search produced an invalid scheme: " +
                                      result.eval.invalid_reason);
       require(result.eval.fits, "search recorded a non-fitting scheme");
-      result.alternatives.reserve(kept.size());
-      for (std::size_t i = 0; i < kept.size(); ++i)
-        result.alternatives.push_back(
-            RankedScheme{std::move(kept[i].scheme), kept[i].ttotal});
-      result.alternatives.front().scheme.label = "proposed";
     }
     return result;
   }

@@ -99,7 +99,10 @@ struct SearchOptions {
   /// cap; a pooled run uses the pool's fixed thread count.
   WorkerPool* pool = nullptr;
   /// Cooperative cancellation (nullable; must outlive the search). Workers
-  /// poll it at unit boundaries and every few hundred move evaluations;
+  /// poll it at unit boundaries and before every greedy scan (at most
+  /// 8,384 move evaluations apart on the move-table path), and once per
+  /// scanned row on the table-less path, so the latency stays bounded for
+  /// any candidate-set size;
   /// when it fires the search unwinds with CancelledError instead of
   /// returning a partial result, so a cancelled run can never be mistaken
   /// for a completed one. The serving layer arms it with per-job deadlines
@@ -157,10 +160,14 @@ struct SearchStats {
   /// hint dominated them (the canonical merge re-decides each case).
   std::size_t units_pruned_speculative = 0;
   /// Merge costs computed from scratch (move-table misses plus every
-  /// compatible merge consideration when the table is off). Exact at
-  /// threads=1; replays perturb it slightly at higher thread counts.
+  /// compatible merge a scan scores when the table is off). Exact at
+  /// threads=1; replays perturb it slightly at higher thread counts. A
+  /// scan the evaluation budget cuts scores nothing (its whole length is
+  /// charged up front), so this counts only completed scans' merges.
   std::uint64_t full_evaluations = 0;
-  /// Move considerations served from the incremental move table.
+  /// Compatible merges a scan scored from the incremental move table. Like
+  /// full_evaluations, not part of the determinism contract; at threads=1
+  /// the two sum to the table-off search's full_evaluations.
   std::uint64_t moves_rescored = 0;
 };
 

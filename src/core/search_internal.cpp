@@ -1,6 +1,7 @@
 #include "core/search_internal.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <iterator>
 #include <limits>
 #include <span>
@@ -176,20 +177,49 @@ void undo_move(State& s, UndoRecord& undo) {
   s.ttotal = undo.prior_ttotal;
 }
 
-PartitionScheme canonical_scheme(const State& s) {
-  PartitionScheme scheme;
+std::vector<std::uint64_t> state_key(const State& s) {
+  // Members are sorted within every group, so ordering the alive groups'
+  // member lists lexicographically is all the region order needs.
+  std::vector<const std::vector<std::size_t>*> regions;
+  regions.reserve(s.alive);
+  std::size_t total = 2 + s.static_members.size();
   for (const Group& g : s.groups)
     if (g.alive) {
-      Region region{g.members};
-      std::sort(region.members.begin(), region.members.end());
-      scheme.regions.push_back(std::move(region));
+      regions.push_back(&g.members);
+      total += 1 + g.members.size();
     }
-  std::sort(
-      scheme.regions.begin(), scheme.regions.end(),
-      [](const Region& a, const Region& b) { return a.members < b.members; });
-  scheme.static_members = s.static_members;
-  std::sort(scheme.static_members.begin(), scheme.static_members.end());
+  std::sort(regions.begin(), regions.end(),
+            [](const auto* a, const auto* b) { return *a < *b; });
+  std::vector<std::uint64_t> key;
+  key.reserve(total);
+  key.push_back(regions.size());
+  for (const std::vector<std::size_t>* members : regions) {
+    key.push_back(members->size());
+    key.insert(key.end(), members->begin(), members->end());
+  }
+  key.push_back(s.static_members.size());
+  const auto statics = key.insert(key.end(), s.static_members.begin(),
+                                  s.static_members.end());
+  std::sort(statics, key.end());
+  return key;
+}
+
+PartitionScheme scheme_from_key(const std::vector<std::uint64_t>& key) {
+  PartitionScheme scheme;
+  auto it = key.begin();
+  scheme.regions.resize(*it++);
+  for (Region& region : scheme.regions) {
+    const auto size = static_cast<std::ptrdiff_t>(*it++);
+    region.members.assign(it, it + size);
+    it += size;
+  }
+  const auto size = static_cast<std::ptrdiff_t>(*it++);
+  scheme.static_members.assign(it, it + size);
   return scheme;
+}
+
+PartitionScheme canonical_scheme(const State& s) {
+  return scheme_from_key(state_key(s));
 }
 
 std::vector<std::uint64_t> scheme_key(const PartitionScheme& scheme) {

@@ -181,24 +181,35 @@ void apply_move_into(State& s, const Move& move, const GroupCost* merge_cost,
 /// strict LIFO order. The record stays intact (and reusable).
 void undo_move(State& s, UndoRecord& undo);
 
-/// Canonicalised copy of the grouping in `s`: members sorted within each
-/// region, regions sorted lexicographically, static members sorted. Equal
-/// groupings render identically, so schemes can be deduplicated and ordered
-/// independently of the order in which threads discovered them — and the
-/// result_io serialisation of the returned scheme is reproducible.
+/// Canonical key of the grouping in `s`, built straight from the state:
+/// the alive groups' (sorted) member lists in lexicographic order, then the
+/// static members sorted, in scheme_key's encoding. Equal groupings get
+/// equal keys whatever order the moves took, so the leaderboard can
+/// deduplicate and order states independently of the order in which
+/// threads discovered them. This is the one definition of the canonical
+/// scheme order.
+std::vector<std::uint64_t> state_key(const State& s);
+
+/// The scheme a key encodes (inverse of scheme_key), label empty.
+PartitionScheme scheme_from_key(const std::vector<std::uint64_t>& key);
+
+/// Canonicalised copy of the grouping in `s`: scheme_from_key(state_key(s)).
+/// Regions are in canonical order, so the result_io serialisation of the
+/// returned scheme is reproducible.
 PartitionScheme canonical_scheme(const State& s);
 
-/// Injective flat encoding of a canonical scheme (sizes delimit the member
-/// lists). Lexicographic order on the encoding is the final tie-break of
-/// the leaderboard's total order, and equality is the exact deduplication
+/// Injective flat encoding of a scheme (sizes delimit the member lists).
+/// Lexicographic order on the encoding is the final tie-break of the
+/// leaderboard's total order, and equality is the exact deduplication
 /// criterion — no hash collisions can alias two distinct groupings.
 std::vector<std::uint64_t> scheme_key(const PartitionScheme& scheme);
 
+/// A leaderboard entry: objective plus canonical key. The scheme itself is
+/// decoded (scheme_from_key) only for the final top-K.
 struct Kept {
   std::uint64_t ttotal = 0;
   std::uint64_t warea = 0;
   std::vector<std::uint64_t> key;
-  PartitionScheme scheme;
 };
 
 /// Total order on recorded schemes: objective first, canonical key last.

@@ -11,12 +11,17 @@
 //  * the move table is a pure wall-clock lever: the full deterministic
 //    fingerprint (results and counters, including truncation points) is
 //    identical with the table on and off;
+//  * truncation points, recorded states and schemes under tiny to moderate
+//    evaluation budgets are pinned to values recorded with the per-pair
+//    budget counter that the one-subtraction scan charge replaced;
 //  * cancellation unwinds with CancelledError in every mode — a cancelled
 //    search can never be mistaken for a completed one.
 #include "core/search.hpp"
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -231,11 +236,104 @@ TEST(SearchBnbProperty, MoveTableIsPureWallClock) {
     EXPECT_EQ(on.stats.budget_exhausted, off.stats.budget_exhausted);
     EXPECT_EQ(on.stats.units_pruned, off.stats.units_pruned);
     // At threads=1 the scheduling-dependent split is exact too: every
-    // consideration is either rescored or fresh, and the table only moves
-    // considerations between the two buckets.
+    // compatible merge a scan scores is either rescored or fresh, and the
+    // table only moves merges between the two buckets.
     EXPECT_EQ(off.stats.moves_rescored, 0u);
-    EXPECT_GT(on.stats.moves_rescored, 0u);
-    EXPECT_LT(on.stats.full_evaluations, off.stats.full_evaluations);
+    EXPECT_EQ(on.stats.full_evaluations + on.stats.moves_rescored,
+              off.stats.full_evaluations);
+    // A scan the budget cuts scores nothing, so at 50 evaluations the
+    // table never gets to serve a merge; at the larger budgets it does.
+    if (evals >= 1000) {
+      EXPECT_GT(on.stats.moves_rescored, 0u);
+      EXPECT_LT(on.stats.full_evaluations, off.stats.full_evaluations);
+    }
+  }
+}
+
+/// FNV-1a, 64-bit: folds a fingerprint text into a pinnable number.
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// One design's pinned search results over every budget of the truncation
+/// sweep: a fingerprint plus readable counter sums.
+struct TruncationPin {
+  const char* name;
+  std::uint64_t seed;              ///< synthetic design seed (0: paper)
+  std::uint64_t fingerprint;       ///< fnv1a over every budget's line
+  std::uint64_t move_evaluations;  ///< summed over the budgets
+  std::uint64_t states_recorded;   ///< summed over the budgets
+  std::uint64_t exhausted;         ///< budgets that bound the search
+};
+
+TEST(SearchBnbProperty, TruncationPointsArePinned) {
+  // Budgets 1..64 cut the search inside its first scans, the larger ones
+  // cut later descents or none. The pins were recorded with the search that
+  // charged the budget one move pair at a time (the per-pair counter that
+  // the one-subtraction scan charge replaced), so the sweep proves the two
+  // truncate, prune and record identically. Both move-table settings and
+  // both thread counts must reproduce the same pins.
+  std::vector<std::uint64_t> budgets;
+  for (std::uint64_t b = 1; b <= 64; ++b) budgets.push_back(b);
+  for (const std::uint64_t b : {std::uint64_t{100}, std::uint64_t{333},
+                               std::uint64_t{1000}, std::uint64_t{4096}})
+    budgets.push_back(b);
+
+  const TruncationPin pins[] = {
+      {"paper", 0, 0x79100b39a7629c96, 7609, 85, 68},
+      {"logic", 101, 0x250d7659118a2b8a, 4123, 47, 66},
+      {"memory", 102, 0x2b50f645731f9286, 7609, 8, 68},
+      {"dsp", 403, 0x5d62259fc62a9890, 7609, 133, 68},
+      {"dspmem", 504, 0x6fa24425fb0729b1, 3887, 329, 66},
+  };
+  for (std::size_t d = 0; d < std::size(pins); ++d) {
+    std::optional<Harness> h;
+    ResourceVec budget{900, 8, 16};
+    if (d == 0) {
+      h.emplace(paper_example());
+    } else {
+      Rng rng(pins[d].seed);
+      h.emplace(generate_synthetic(rng, static_cast<CircuitClass>(d - 1))
+                    .design);
+      budget = h->slack_budget();
+    }
+    for (const unsigned threads : {1u, 4u}) {
+      for (const bool table : {true, false}) {
+        std::string text;
+        std::uint64_t evals_sum = 0, states_sum = 0, exhausted = 0;
+        for (const std::uint64_t evals : budgets) {
+          SearchOptions opt;
+          opt.max_move_evaluations = evals;
+          opt.threads = threads;
+          opt.use_move_table = table;
+          const SearchResult r = h->run(budget, opt);
+          text += "budget=" + std::to_string(evals) +
+                  " evals=" + std::to_string(r.stats.move_evaluations) +
+                  " states=" + std::to_string(r.stats.states_recorded) +
+                  " runs=" + std::to_string(r.stats.greedy_runs) +
+                  " pruned=" + std::to_string(r.stats.units_pruned) +
+                  " exhausted=" + std::to_string(r.stats.budget_exhausted) +
+                  "\n" + result_fingerprint(*h, budget, r);
+          evals_sum += r.stats.move_evaluations;
+          states_sum += r.stats.states_recorded;
+          exhausted += r.stats.budget_exhausted ? 1 : 0;
+        }
+        const std::uint64_t fingerprint = fnv1a(text);
+        const std::string where = std::string(pins[d].name) +
+                                  " threads=" + std::to_string(threads) +
+                                  " table=" + std::to_string(table);
+        EXPECT_EQ(evals_sum, pins[d].move_evaluations) << where;
+        EXPECT_EQ(states_sum, pins[d].states_recorded) << where;
+        EXPECT_EQ(exhausted, pins[d].exhausted) << where;
+        EXPECT_EQ(fingerprint, pins[d].fingerprint)
+            << where << " fingerprint 0x" << std::hex << fingerprint;
+      }
+    }
   }
 }
 
@@ -251,7 +349,7 @@ TEST(SearchBnbProperty, CancellationThrowsInEveryMode) {
   }
   for (const bool bounding : {true, false}) {
     // Mid-search: a deadline far shorter than the case-study search's run
-    // time fires between move evaluations (polled every 512).
+    // time fires between greedy scans (polled before each one).
     CancelToken token;
     SearchOptions opt;
     opt.use_bounding = bounding;

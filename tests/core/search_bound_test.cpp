@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <vector>
 
@@ -382,6 +383,55 @@ TEST(SearchBound, UndoRestoresTheStateExactly) {
     EXPECT_EQ(si::scheme_key(si::canonical_scheme(s)),
               si::scheme_key(si::canonical_scheme(before)));
   }
+}
+
+/// The canonical scheme built region by region: every alive group's members
+/// copied and sorted, the regions sorted, the static members sorted.
+PartitionScheme reference_canonical_scheme(const si::State& s) {
+  PartitionScheme scheme;
+  for (const si::Group& g : s.groups)
+    if (g.alive) {
+      Region region{g.members};
+      std::sort(region.members.begin(), region.members.end());
+      scheme.regions.push_back(std::move(region));
+    }
+  std::sort(
+      scheme.regions.begin(), scheme.regions.end(),
+      [](const Region& a, const Region& b) { return a.members < b.members; });
+  scheme.static_members = s.static_members;
+  std::sort(scheme.static_members.begin(), scheme.static_members.end());
+  return scheme;
+}
+
+TEST(SearchBound, StateKeyIsTheCanonicalSchemesKey) {
+  // state_key reads the leaderboard key straight off the search state. On
+  // every state of random move paths (merges and promotions, over the paper
+  // example and one synthetic design per circuit class) it must equal the
+  // key of the canonical scheme built region by region, and canonical_scheme
+  // (the key's decode) must encode back to it.
+  std::vector<Design> designs{paper_example()};
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    Rng rng(seed);
+    designs.push_back(
+        generate_synthetic(rng, static_cast<CircuitClass>(seed)).design);
+  }
+  std::size_t states = 0;
+  for (Design& design : designs) {
+    Harness h(std::move(design));
+    for (std::uint64_t seed = 0; seed < 20; ++seed) {
+      Rng rng(seed);
+      si::State s = h.initial();
+      while (true) {
+        const std::vector<std::uint64_t> key = si::state_key(s);
+        EXPECT_EQ(key, si::scheme_key(reference_canonical_scheme(s)));
+        EXPECT_EQ(key, si::scheme_key(si::canonical_scheme(s)));
+        ++states;
+        if (valid_moves(s, true).empty()) break;
+        apply_random_move(s, rng, true, nullptr);
+      }
+    }
+  }
+  EXPECT_GT(states, 200u);
 }
 
 }  // namespace

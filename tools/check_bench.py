@@ -9,7 +9,10 @@ baseline within a relative tolerance (default +-25%). Wall-clock keys
 (anything containing "seconds", "speedup", "ms_per", "hit_rate" or
 "per_second") are skipped: they depend on the host, while the remaining
 counters are deterministic outputs of the search and simulator and must
-not drift silently.
+not drift silently. The keys the EXACT registry names (per baseline file)
+must equal the baseline exactly: the search and device-walk answers and
+counters that are thread-count- and host-invariant by contract, where even
+a 1% drift is an answer change, not noise.
 
 Some baselines additionally carry acceptance floors: BENCH_search.json
 requires the full-evaluation reduction of the bounded search over the
@@ -33,7 +36,9 @@ Exit status: 0 clean, 1 on any regression, 2 on usage/IO errors.
 """
 
 import argparse
+import fnmatch
 import json
+import os
 import sys
 
 SKIP_SUBSTRINGS = ("seconds", "speedup", "ms_per", "hit_rate", "per_second")
@@ -135,6 +140,39 @@ INFORMATIONAL = {
 }
 
 
+# Deterministic keys that must match the baseline exactly, as fnmatch
+# patterns keyed by baseline file. check_invariants.py rejects a pattern that
+# matches no key of its committed baseline. full_evaluations and
+# moves_rescored stay at the tolerance: they split by scheduling.
+EXACT = {
+    "BENCH_sweep.json": {
+        "escalated",
+        "smaller_than_modular",
+        "total_frames.*",
+        "worst_frames.*",
+        "search.*",
+        "walk.*",
+    },
+    "BENCH_search.json": {
+        "bounded.move_evaluations",
+        "bounded.states_recorded",
+        "bounded.units",
+        "bounded.units_pruned",
+        "exhaustive.move_evaluations",
+        "exhaustive.states_recorded",
+        "exhaustive.units",
+        "exhaustive.units_pruned",
+        "kernel.kernel_evaluations",
+        "kernel.signature_collapsed_configs",
+    },
+}
+
+
+def is_exact(baseline_name, path):
+    return any(fnmatch.fnmatchcase(path, pattern)
+               for pattern in EXACT.get(baseline_name, ()))
+
+
 def flatten(doc):
     out = {}
     def walk(node, path):
@@ -163,7 +201,9 @@ def main():
         print(f"check_bench: {err}", file=sys.stderr)
         return 2
 
+    baseline_name = os.path.basename(args.baseline)
     failures = []
+    exact = 0
     for path, base in sorted(baseline.items()):
         if any(s in path for s in SKIP_SUBSTRINGS):
             continue
@@ -171,6 +211,13 @@ def main():
             failures.append(f"{path}: missing from current run (baseline {base:g})")
             continue
         cur = current[path]
+        if is_exact(baseline_name, path):
+            exact += 1
+            if cur != base:
+                failures.append(
+                    f"{path}: {cur:.17g} differs from baseline {base:.17g} "
+                    "(exact key)")
+            continue
         limit = abs(base) * args.tolerance
         if abs(cur - base) > limit:
             failures.append(
@@ -201,8 +248,8 @@ def main():
         for line in failures:
             print(f"  {line}")
         return 1
-    print(f"check_bench: {checked} counters within "
-          f"{args.tolerance:.0%} of {args.baseline}")
+    print(f"check_bench: {checked} counters match {args.baseline} "
+          f"({exact} exactly, the rest within {args.tolerance:.0%})")
     return 0
 
 

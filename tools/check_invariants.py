@@ -15,12 +15,15 @@ Three families of drift this linter makes impossible to land silently:
   3. Bench gating: every numeric key in the committed BENCH_*.json
      baselines must be covered by tools/check_bench.py -- drift-checked,
      held to a hard floor, or explicitly declared informational. Stale
-     registry entries (declared but absent from the baseline) also fail.
+     registry entries (declared but absent from the baseline) also fail,
+     and so does an EXACT pattern that matches no drift-checked key of its
+     baseline.
 
 Exit status: 0 clean, 1 on any violation, 2 on usage/IO errors.
 """
 
 import argparse
+import fnmatch
 import importlib.util
 import json
 import pathlib
@@ -136,10 +139,20 @@ def check_bench_coverage(repo, failures):
                 f"bench: INFORMATIONAL[\"{path.name}\"] declares \"{key}\" "
                 "but the committed baseline has no such key -- remove the "
                 "stale entry from tools/check_bench.py")
-    for name in sorted(set(bench.INFORMATIONAL) -
+        drift_keys = [k for k in flat
+                      if not any(s in k for s in bench.SKIP_SUBSTRINGS)]
+        for pattern in sorted(bench.EXACT.get(path.name, ())):
+            if not any(fnmatch.fnmatchcase(k, pattern) for k in drift_keys):
+                failures.append(
+                    f"bench: EXACT[\"{path.name}\"] declares \"{pattern}\" "
+                    "but it matches no drift-checked key of the committed "
+                    "baseline -- remove the stale entry from "
+                    "tools/check_bench.py")
+    for name in sorted((set(bench.INFORMATIONAL) | set(bench.EXACT)) -
                        {p.name for p in baselines}):
         failures.append(
-            f"bench: INFORMATIONAL names baseline \"{name}\" which does "
+            f"bench: INFORMATIONAL or EXACT names baseline \"{name}\" "
+            "which does "
             "not exist -- remove the stale file entry from "
             "tools/check_bench.py")
     for suffix, used in sorted(floor_suffix_used.items()):
