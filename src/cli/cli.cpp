@@ -37,7 +37,6 @@
 #include "sim/trace.hpp"
 #include "synth/estimator.hpp"
 #include "util/args.hpp"
-#include "util/simd.hpp"
 #include "util/status.hpp"
 #include "util/strings.hpp"
 
@@ -368,9 +367,7 @@ int cmd_partition(const Args& args, std::ostream& out, std::ostream& err) {
           << s.bound_best_sum << ")\n";
     }
     out << "  kernel evals:     " << s.kernel_evaluations << " ("
-        << s.signature_collapsed_configs << " configs signature-collapsed)\n"
-        << "  simd tier:        " << simd::tier_name(simd::active_tier())
-        << "\n";
+        << s.signature_collapsed_configs << " configs signature-collapsed)\n";
   }
 
   if (const auto save = args.value("save")) {
@@ -1060,13 +1057,7 @@ int run(const std::vector<std::string>& args, std::ostream& out,
       return 0;
     }
     if (args[0] == "version" || args[0] == "--version") {
-      // Reports the dispatched evaluation-kernel tier next to the version:
-      // the binary carries every compiled tier and picks per host (or per
-      // PRPART_SIMD override), so "which code path runs here" is a runtime
-      // question operators need answered (DESIGN.md §4e).
-      out << "prpart 1.0.0\n"
-          << "simd tier: " << simd::tier_name(simd::active_tier())
-          << " (supported: " << simd::supported_tier_list() << ")\n";
+      out << "prpart 1.0.0\n";
       return 0;
     }
     const Args parsed(args, {"floorplan", "prefetch", "json", "search-stats",

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "core/eval_kernel_tiers.hpp"
 #include "util/status.hpp"
 
 namespace prpart {
@@ -14,30 +13,6 @@ namespace {
 // members than that fall back to the direct pair loop (never hit by the
 // generator, but the kernel must stay exact for any input).
 constexpr std::size_t kMaxInt16Members = 32766;
-
-// Resolves a vector tier to its compiled batch entry point. A tier only
-// reaches this after simd::tier_supported said the CPU can run it; a null
-// entry then means the binary was built without that ISA (e.g. a non-x86
-// build asked for avx2), which is a build/deployment error, not a fallback.
-eval_tiers::BatchFn batch_fn_for(simd::Tier tier) {
-  eval_tiers::BatchFn fn = nullptr;
-  switch (tier) {
-    case simd::Tier::kScalar:
-      break;
-    case simd::Tier::kNeon:
-      fn = eval_tiers::neon_fn();
-      break;
-    case simd::Tier::kAvx2:
-      fn = eval_tiers::avx2_fn();
-      break;
-    case simd::Tier::kAvx512:
-      fn = eval_tiers::avx512_fn();
-      break;
-  }
-  require(fn != nullptr,
-          "active SIMD tier is not compiled into this binary");
-  return fn;
-}
 
 }  // namespace
 
@@ -61,14 +36,6 @@ EvalContext::EvalContext(const Design& design, const ConnectivityMatrix& matrix,
         [&](std::size_t j) { mode_configs_[j].set(c); });
   for (std::size_t j = 0; j < nmodes; ++j)
     if (mode_configs_[j].any()) used_modes_.push_back(static_cast<std::uint32_t>(j));
-
-  // Vector-tier precomputes (§4e): the rows are immutable, so their
-  // popcounts serve Eq. 10 as a table, and the used set doubles as a word
-  // mask for the one-pass coverage check.
-  activity_count_.reserve(activity_.size());
-  for (const DynBitset& act : activity_) activity_count_.push_back(act.count());
-  used_mask_ = DynBitset(nmodes);
-  for (std::uint32_t j : used_modes_) used_mask_.set(j);
 }
 
 void EvalContext::prepare(EvalScratch& s) const {
@@ -80,7 +47,6 @@ void EvalContext::prepare(EvalScratch& s) const {
     s.uncovered_ = DynBitset(nconf);
     s.static_modes_ = DynBitset(nmodes);
     s.touched_ = DynBitset(nmodes);
-    s.missing_modes_ = DynBitset(nmodes);
     s.providers_.assign(nmodes, DynBitset(nconf));
   }
 }
@@ -93,46 +59,18 @@ SchemeEvaluation EvalContext::evaluate(const PartitionScheme& scheme,
   return eval;
 }
 
-void EvalContext::evaluate_into(const PartitionScheme& scheme,
-                                const ResourceVec& budget, EvalScratch& scratch,
-                                SchemeEvaluation& eval) const {
-  const simd::Tier tier = simd::active_tier();
-  if (tier == simd::Tier::kScalar) {
-    evaluate_scalar_into(scheme, budget, scratch, eval);
-    return;
-  }
-  const PartitionScheme* one = &scheme;
-  batch_fn_for(tier)(*this, &one, 1, budget, scratch, &eval);
-}
-
 void EvalContext::evaluate_batch_into(const PartitionScheme* const* schemes,
                                       std::size_t count,
                                       const ResourceVec& budget,
                                       EvalScratch& scratch,
                                       SchemeEvaluation* evals) const {
-  if (count == 0) return;
-  const simd::Tier tier = simd::active_tier();
-  if (tier == simd::Tier::kScalar) {
-    for (std::size_t i = 0; i < count; ++i)
-      evaluate_scalar_into(*schemes[i], budget, scratch, evals[i]);
-    return;
-  }
-  batch_fn_for(tier)(*this, schemes, count, budget, scratch, evals);
+  for (std::size_t i = 0; i < count; ++i)
+    evaluate_into(*schemes[i], budget, scratch, evals[i]);
 }
 
-void EvalContext::evaluate_batch_into(
-    const std::vector<const PartitionScheme*>& schemes,
-    const ResourceVec& budget, EvalScratch& scratch,
-    std::vector<SchemeEvaluation>& evals) const {
-  evals.resize(schemes.size());
-  evaluate_batch_into(schemes.data(), schemes.size(), budget, scratch,
-                      evals.data());
-}
-
-void EvalContext::evaluate_scalar_into(const PartitionScheme& scheme,
-                                       const ResourceVec& budget,
-                                       EvalScratch& scratch,
-                                       SchemeEvaluation& eval) const {
+void EvalContext::evaluate_into(const PartitionScheme& scheme,
+                                const ResourceVec& budget, EvalScratch& scratch,
+                                SchemeEvaluation& eval) const {
   prepare(scratch);
   ++scratch.stats.kernel_evaluations;
 

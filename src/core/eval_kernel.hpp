@@ -5,7 +5,6 @@
 
 #include "core/scheme.hpp"
 #include "util/bitset.hpp"
-#include "util/simd.hpp"
 
 namespace prpart {
 
@@ -22,7 +21,6 @@ struct EvalStats {
 };
 
 class EvalContext;
-struct EvalKernelDetail;
 
 /// Reusable working buffers for EvalContext::evaluate. Sized lazily on first
 /// use and kept across calls, so steady-state evaluation performs no heap
@@ -35,13 +33,11 @@ struct EvalScratch {
 
  private:
   friend class EvalContext;
-  friend struct EvalKernelDetail;
   DynBitset region_occ_;    ///< configs claimed by earlier members of a region
   DynBitset conflicts_;     ///< configs claimed by two members (invalid)
   DynBitset uncovered_;     ///< configs with at least one unprovided mode
   DynBitset static_modes_;  ///< modes provided by the static members
   DynBitset touched_;       ///< modes whose providers_ entry is live this call
-  DynBitset missing_modes_; ///< used modes with no provider (vector tiers)
   std::vector<DynBitset> providers_;       ///< per mode: configs providing it
   std::vector<std::uint32_t> kept_;        ///< regions in the Eq. 11 pass
   std::vector<std::uint64_t> kept_frames_; ///< their frame counts
@@ -50,8 +46,6 @@ struct EvalScratch {
   std::vector<std::uint32_t> reps_;  ///< one config per distinct signature
   std::vector<std::uint64_t> rep_bound_;  ///< per rep: total active frames
   std::vector<std::uint32_t> rep_order_;  ///< reps by decreasing bound
-  std::vector<std::uint32_t> sig_slots_;  ///< signature hash table (vector tiers)
-  std::vector<std::uint64_t> rep_mask_;   ///< per rep: active-region bitmask
 };
 
 /// Word-parallel scheme-evaluation kernel (DESIGN.md §4d/§4e).
@@ -73,15 +67,6 @@ struct EvalScratch {
 ///   - Eq. 11: configurations grouped by their packed int16 active signature
 ///     over the contributing regions, so duplicate rows collapse out of the
 ///     O(C²·R) pair loop.
-///
-/// Dispatch (§4e): evaluate_into and evaluate_batch_into route through the
-/// SIMD tier from simd::active_tier(). The scalar tier is this file's
-/// original word-loop implementation, kept verbatim as the reference; the
-/// vector tiers (AVX2 / AVX-512 / NEON) run a restructured batch evaluator
-/// over the same packed words. Every tier is byte-identical to the
-/// reference for every input, including invalid_reason strings and the
-/// deterministic EvalStats counters — pinned by the tier×batch property
-/// suite in tests/core.
 class EvalContext {
  public:
   EvalContext(const Design& design, const ConnectivityMatrix& matrix,
@@ -110,31 +95,17 @@ class EvalContext {
                      EvalScratch& scratch, SchemeEvaluation& eval) const;
 
   /// Batch evaluation (§4e): scores `count` candidate schemes of this
-  /// design in one dispatched pass over the shared activity matrix,
-  /// writing evals[i] for schemes[i]. Equivalent to `count` evaluate_into
-  /// calls — same results, same counter increments, same exception on the
-  /// first offending scheme — but the per-call dispatch and scratch setup
-  /// are hoisted and the vector tiers keep the packed rows hot across
-  /// schemes. The search's frontier certification and the server's batch
-  /// path are the intended callers.
+  /// design, writing evals[i] for schemes[i]. Exactly `count` evaluate_into
+  /// calls in order — same results, same counter increments, same exception
+  /// on the first offending scheme. The partitioner scores its modular and
+  /// static baselines this way.
   void evaluate_batch_into(const PartitionScheme* const* schemes,
                            std::size_t count, const ResourceVec& budget,
                            EvalScratch& scratch,
                            SchemeEvaluation* evals) const;
 
-  /// Convenience overload over parallel vectors (resizes `evals`).
-  void evaluate_batch_into(const std::vector<const PartitionScheme*>& schemes,
-                           const ResourceVec& budget, EvalScratch& scratch,
-                           std::vector<SchemeEvaluation>& evals) const;
-
  private:
-  friend struct EvalKernelDetail;
-
   void prepare(EvalScratch& scratch) const;
-  /// The PR 5 scalar-word path, retained unchanged as the reference tier.
-  void evaluate_scalar_into(const PartitionScheme& scheme,
-                            const ResourceVec& budget, EvalScratch& scratch,
-                            SchemeEvaluation& eval) const;
 
   const Design& design_;
   const ConnectivityMatrix& matrix_;
@@ -142,12 +113,6 @@ class EvalContext {
   std::vector<DynBitset> activity_;      ///< partition -> configs (activity)
   std::vector<DynBitset> mode_configs_;  ///< mode -> configs containing it
   std::vector<std::uint32_t> used_modes_;  ///< modes present in some config
-  /// Precomputed |activity_[p]| — Eq. 10 occurrence counts are popcounts of
-  /// immutable rows, so the vector tiers read them as a table (§4e).
-  std::vector<std::uint64_t> activity_count_;
-  /// used_modes_ as a bitset, for the vector tiers' word-parallel coverage
-  /// check (used & ~(touched | static) per word).
-  DynBitset used_mask_;
 };
 
 }  // namespace prpart

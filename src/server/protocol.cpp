@@ -585,8 +585,7 @@ json::Value metrics_json(const StatsSnapshot& snapshot,
 namespace {
 
 /// Flattens the numeric/boolean leaves of the metrics document into
-/// exposition lines. Strings (simd_tier) become `# key value`
-/// comments so the text form still carries them.
+/// exposition lines.
 void append_metric_lines(const json::Value& node, const std::string& prefix,
                          std::string& out) {
   for (const auto& [key, value] : node.members()) {
@@ -597,8 +596,6 @@ void append_metric_lines(const json::Value& node, const std::string& prefix,
       out += "prpart_" + path + " " + (value.as_bool() ? "1" : "0") + "\n";
     } else if (value.is_number()) {
       out += "prpart_" + path + " " + value.dump() + "\n";
-    } else if (value.is_string()) {
-      out += "# prpart_" + path + " " + value.as_string() + "\n";
     }
   }
 }

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <string>
 
-#include "util/simd.hpp"
-
 namespace prpart::server {
 
 std::uint64_t LatencyHistogram::percentile(double p) const {
@@ -37,11 +35,6 @@ json::Value StatsSnapshot::to_json() const {
   v.set("latency_count", json::Value(latency_count));
   v.set("p50_latency_us", json::Value(p50_latency_us));
   v.set("p99_latency_us", json::Value(p99_latency_us));
-  // The evaluation kernel's dispatched SIMD tier (DESIGN.md §4e): constant
-  // for the process lifetime, reported so operators can tell which code
-  // path serves this host (and spot a forced PRPART_SIMD override).
-  v.set("simd_tier",
-        json::Value(std::string(simd::tier_name(simd::active_tier()))));
   json::Value search = json::Value::object();
   search.set("units", json::Value(search_units));
   search.set("units_pruned", json::Value(search_units_pruned));

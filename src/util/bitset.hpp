@@ -107,7 +107,7 @@ class DynBitset {
   // combine several bitsets word-by-word (activity matrices, compatibility
   // rows). Bits past size() are guaranteed zero, so consumers can popcount
   // and scan whole words without masking the trailing word. The masked-tail
-  // invariant is load-bearing for the SIMD kernels, which read and combine
+  // invariant is load-bearing for every consumer that reads and combines
   // word_count() whole words regardless of size() % 64 — every mutator in
   // this class preserves it (pinned by BitsetTest.TailWord* in
   // tests/util/bitset_test.cpp):
@@ -118,7 +118,7 @@ class DynBitset {
   std::size_t word_count() const { return words_.size(); }
   std::uint64_t word(std::size_t w) const { return words_[w]; }
 
-  /// Contiguous word storage for vectorised kernels. Writers through
+  /// Contiguous word storage. Writers through
   /// mutable_words() must uphold the masked-tail invariant above: bits in
   /// [size(), word_count()*64) stay zero. The kernel's word loops only ever
   /// combine same-capacity sets (zero tails in, zero tails out).

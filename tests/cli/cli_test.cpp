@@ -65,6 +65,15 @@ TEST_F(CliTest, NoArgsPrintsUsage) {
   EXPECT_NE(r.out.find("usage:"), std::string::npos);
 }
 
+TEST_F(CliTest, VersionPrintsOneLine) {
+  for (const char* spelling : {"version", "--version"}) {
+    const CliRun r = invoke({spelling});
+    EXPECT_EQ(r.code, 0) << spelling;
+    EXPECT_EQ(r.out, "prpart 1.0.0\n") << spelling;
+    EXPECT_EQ(r.err, "") << spelling;
+  }
+}
+
 TEST_F(CliTest, UnknownCommandFails) {
   const CliRun r = invoke({"frobnicate"});
   EXPECT_EQ(r.code, 1);

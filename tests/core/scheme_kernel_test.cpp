@@ -60,8 +60,11 @@ DesignUnderTest make_dut(Design design) {
 
 // Random grouping of a complete cover into regions, with an optional static
 // promotion. Produces a mix of valid and invalid-double-activation schemes —
-// exactly the population the search explores.
-PartitionScheme random_scheme(const DesignUnderTest& dut, Rng& rng) {
+// exactly the population the search explores. With `may_drop_region`, a
+// quarter of the multi-region schemes lose their last region, so
+// uncovered-mode diagnostics join the mix.
+PartitionScheme random_scheme(const DesignUnderTest& dut, Rng& rng,
+                              bool may_drop_region = false) {
   const auto order = covering_order(dut.partitions);
   const CoverResult cover_result =
       cover(dut.partitions, dut.matrix, order, /*skip=*/0);
@@ -81,7 +84,21 @@ PartitionScheme random_scheme(const DesignUnderTest& dut, Rng& rng) {
                 [](const Region& r) { return r.members.empty(); });
   if (scheme.regions.empty() && !cover_result.selected.empty())
     scheme.regions.push_back(Region{{cover_result.selected.front()}});
+  if (may_drop_region && scheme.regions.size() > 1 && rng.chance(0.25))
+    scheme.regions.pop_back();
   return scheme;
+}
+
+// Scores `schemes` through the batch entry point, in order.
+std::vector<SchemeEvaluation> evaluate_batch(
+    const EvalContext& context, const std::vector<PartitionScheme>& schemes,
+    const ResourceVec& budget, EvalScratch& scratch) {
+  std::vector<const PartitionScheme*> ptrs;
+  for (const PartitionScheme& scheme : schemes) ptrs.push_back(&scheme);
+  std::vector<SchemeEvaluation> evals(schemes.size());
+  context.evaluate_batch_into(ptrs.data(), ptrs.size(), budget, scratch,
+                              evals.data());
+  return evals;
 }
 
 TEST(SchemeKernel, MatchesReferenceOnRandomSchemes) {
@@ -250,6 +267,160 @@ TEST(SchemeKernel, CollapsesDuplicateSignatures) {
       EXPECT_EQ(delta, 0u);
     } else {
       EXPECT_LT(delta, dut.matrix.configs());
+    }
+  }
+}
+
+TEST(SchemeKernel, BatchedMatchesReferenceAndSingles) {
+  const auto suite = generate_synthetic_suite(/*seed=*/20260808, /*count=*/12);
+  const ResourceVec budget{30720, 456, 384};
+  Rng rng(11);
+  for (const SyntheticDesign& s : suite) {
+    const DesignUnderTest dut = make_dut(s.design);
+    const EvalContext context(dut.design, dut.matrix, dut.partitions);
+    EvalScratch scratch;
+
+    std::vector<PartitionScheme> schemes;
+    for (int k = 0; k < 8; ++k) {
+      PartitionScheme scheme = random_scheme(dut, rng, /*may_drop_region=*/true);
+      if (!scheme.regions.empty()) schemes.push_back(std::move(scheme));
+    }
+    if (schemes.empty()) continue;
+    const std::string label = dut.design.name();
+
+    // Single evaluations match the reference.
+    std::vector<SchemeEvaluation> singles(schemes.size());
+    for (std::size_t i = 0; i < schemes.size(); ++i) {
+      context.evaluate_into(schemes[i], budget, scratch, singles[i]);
+      const SchemeEvaluation ref = evaluate_scheme_reference(
+          dut.design, dut.matrix, dut.partitions, schemes[i], budget);
+      expect_identical(ref, singles[i], label + " #" + std::to_string(i));
+    }
+    const EvalStats after_singles = scratch.stats;
+
+    // The batch entry point reproduces the singles — results and counter
+    // increments.
+    const std::vector<SchemeEvaluation> batched =
+        evaluate_batch(context, schemes, budget, scratch);
+    for (std::size_t i = 0; i < singles.size(); ++i)
+      expect_identical(singles[i], batched[i],
+                       label + " batch #" + std::to_string(i));
+    // The batch added exactly one kernel evaluation per scheme and
+    // collapsed exactly what the singles collapsed.
+    EXPECT_EQ(scratch.stats.kernel_evaluations,
+              after_singles.kernel_evaluations + schemes.size())
+        << label;
+    EXPECT_EQ(scratch.stats.signature_collapsed_configs,
+              2 * after_singles.signature_collapsed_configs)
+        << label;
+  }
+}
+
+TEST(SchemeKernel, WideConfigurationRowsMatchReference) {
+  // Deeply adaptive designs (hundreds of configurations) make the packed
+  // activity rows span many 64-bit words and end in a partial tail word.
+  // The coverage-minimum designs of the other tests never leave word one.
+  SyntheticOptions wide;
+  wide.min_modules = 8;
+  wide.max_modules = 10;
+  wide.min_modes = 3;
+  wide.max_modes = 4;
+  wide.max_clbs = 400;
+  wide.min_configurations = 540;  // 9 words of configuration bits
+  const auto suite = generate_synthetic_suite(/*seed=*/909, /*count=*/1, wide);
+  const ResourceVec budget{30720, 456, 384};
+  Rng rng(5);
+  const SyntheticDesign& s = suite.front();
+  // Cap clique enumeration at pairs (the partitioner's max_partition_modes
+  // guard): unbounded subsets over a 540-configuration co-occurrence
+  // matrix would swamp the test with setup, not kernel work.
+  DesignUnderTest dut{s.design, ConnectivityMatrix(s.design), {}};
+  dut.partitions = enumerate_base_partitions(dut.design, dut.matrix, 2);
+  ASSERT_GE(dut.matrix.configs(), 512u) << s.design.name();
+  const EvalContext context(dut.design, dut.matrix, dut.partitions);
+  std::vector<PartitionScheme> schemes;
+  for (int k = 0; k < 3; ++k) {
+    PartitionScheme scheme = random_scheme(dut, rng, /*may_drop_region=*/true);
+    if (!scheme.regions.empty()) schemes.push_back(std::move(scheme));
+  }
+  ASSERT_FALSE(schemes.empty());
+  EvalScratch scratch;
+  const std::vector<SchemeEvaluation> batched =
+      evaluate_batch(context, schemes, budget, scratch);
+  for (std::size_t i = 0; i < schemes.size(); ++i) {
+    const SchemeEvaluation ref = evaluate_scheme_reference(
+        dut.design, dut.matrix, dut.partitions, schemes[i], budget);
+    SchemeEvaluation eval;
+    context.evaluate_into(schemes[i], budget, scratch, eval);
+    expect_identical(ref, eval, "wide #" + std::to_string(i));
+    expect_identical(ref, batched[i], "wide batch #" + std::to_string(i));
+  }
+}
+
+TEST(SchemeKernel, BatchAndSingleCountersAgree) {
+  // The EvalStats counters are part of the identity contract: one batch
+  // reports the same kernel_evaluations and signature_collapsed_configs as
+  // the same schemes evaluated one call at a time, on a fresh scratch each.
+  const auto suite = generate_synthetic_suite(/*seed=*/515, /*count=*/8);
+  const ResourceVec budget{30720, 456, 384};
+  EvalStats single_totals, batch_totals;
+  Rng rng(3);
+  for (const SyntheticDesign& s : suite) {
+    const DesignUnderTest dut = make_dut(s.design);
+    const EvalContext context(dut.design, dut.matrix, dut.partitions);
+    std::vector<PartitionScheme> schemes;
+    for (int k = 0; k < 6; ++k) {
+      PartitionScheme scheme = random_scheme(dut, rng, /*may_drop_region=*/true);
+      if (!scheme.regions.empty()) schemes.push_back(std::move(scheme));
+    }
+    EvalScratch single_scratch, batch_scratch;
+    for (const PartitionScheme& scheme : schemes) {
+      SchemeEvaluation eval;
+      context.evaluate_into(scheme, budget, single_scratch, eval);
+      expect_identical(evaluate_scheme_reference(dut.design, dut.matrix,
+                                                 dut.partitions, scheme,
+                                                 budget),
+                       eval, dut.design.name());
+    }
+    evaluate_batch(context, schemes, budget, batch_scratch);
+    single_totals.kernel_evaluations += single_scratch.stats.kernel_evaluations;
+    single_totals.signature_collapsed_configs +=
+        single_scratch.stats.signature_collapsed_configs;
+    batch_totals.kernel_evaluations += batch_scratch.stats.kernel_evaluations;
+    batch_totals.signature_collapsed_configs +=
+        batch_scratch.stats.signature_collapsed_configs;
+  }
+  EXPECT_EQ(batch_totals.kernel_evaluations, single_totals.kernel_evaluations);
+  EXPECT_EQ(batch_totals.signature_collapsed_configs,
+            single_totals.signature_collapsed_configs);
+  EXPECT_GT(single_totals.kernel_evaluations, 0u);
+}
+
+TEST(SchemeKernel, BaselinePairBatchMatchesPerSchemeCalls) {
+  // The partitioner scores its modular+static baselines as a batch of two;
+  // pin that shape explicitly.
+  const auto suite = generate_synthetic_suite(/*seed=*/77, /*count=*/6);
+  const ResourceVec budget{10000, 100, 100};
+  for (const SyntheticDesign& s : suite) {
+    const DesignUnderTest dut = make_dut(s.design);
+    const EvalContext context(dut.design, dut.matrix, dut.partitions);
+    EvalScratch scratch;
+    const PartitionScheme modular =
+        make_modular_scheme(dut.design, dut.matrix, dut.partitions);
+    const PartitionScheme statics =
+        make_static_scheme(dut.design, dut.matrix, dut.partitions);
+    const PartitionScheme* pair[2] = {&modular, &statics};
+    SchemeEvaluation batched[2];
+    context.evaluate_batch_into(pair, 2, budget, scratch, batched);
+    for (int i = 0; i < 2; ++i) {
+      const std::string label =
+          dut.design.name() + (i == 0 ? " modular" : " static");
+      expect_identical(evaluate_scheme_reference(dut.design, dut.matrix,
+                                                 dut.partitions, *pair[i],
+                                                 budget),
+                       batched[i], label);
+      expect_identical(context.evaluate(*pair[i], budget, scratch),
+                       batched[i], label);
     }
   }
 }

@@ -155,8 +155,8 @@ TEST(SteadyStateAlloc, SecondServeJobAllocatesNothingAndSpawnsNothing) {
 
 TEST(SteadyStateAlloc, WarmSingleEvaluationAllocatesNothing) {
   // The single-call form of the same contract (the search inner loop):
-  // after one sizing call, evaluate_into through the active tier is
-  // allocation-free with reused scratch and output.
+  // after one sizing call, evaluate_into is allocation-free with reused
+  // scratch and output.
   const auto suite = generate_synthetic_suite(/*seed=*/31, /*count=*/1);
   ASSERT_FALSE(suite.empty());
   Shard shard(suite.front().design);

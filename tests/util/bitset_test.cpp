@@ -226,7 +226,7 @@ TEST(DynBitset, OrAndnotAccumulatesDifference) {
 
 // --- Masked-tail invariant (bitset.hpp word-view contract) -----------------
 // Every mutator keeps the unused bits of the trailing word zero, so word
-// consumers — count(), the evaluation kernel's word loops, the SIMD tiers —
+// consumers — count(), the evaluation kernel's word loops —
 // may scan whole words without masking. These tests pin the invariant for
 // each mutator over sizes that exercise an empty, partial and full tail.
 
@@ -290,7 +290,7 @@ TEST(BitsetTest, TailWordCountMatchesWordPopcounts) {
 }
 
 TEST(BitsetTest, TailWordMutableWordsPreservesInvariantForSameCapacityOr) {
-  // The §4e SIMD tiers combine same-capacity sets through mutable_words();
+  // Writers through mutable_words() combine same-capacity sets;
   // OR/AND/ANDNOT of zero tails leaves a zero tail.
   DynBitset dst(70);
   DynBitset src(70);
