@@ -78,8 +78,8 @@ int main() {
   std::cout << "\nReading: on resource-tight devices the joint optimiser "
                "places instances the greedy strategies wedge on; best-fit "
                "trims waste per region but fragments rows and succeeds less "
-               "often. The flow therefore runs greedy first-fit first and "
-               "escalates to annealing only when it wedges (the §VI "
-               "feedback loop).\n";
+               "often. The placement ladder therefore runs its deterministic "
+               "skyline and greedy rungs first and escalates to annealing "
+               "only when they wedge.\n";
   return 0;
 }

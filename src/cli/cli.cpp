@@ -85,8 +85,10 @@ device-selection mode). `analyze`
 source spans, design hygiene warnings and a resource lower-bound
 infeasibility proof; it exits 0 when clean, 4 when an error-severity
 diagnostic fires. `flow`
-runs the complete pipeline (partition, floorplan with feedback, UCF,
-bitstreams) and writes the artefacts into --out. --threads N runs the
+runs the complete pipeline (partition, the `floorplan` stage below, UCF,
+bitstreams) and writes the artefacts into --out; when every enumerated
+scheme is vetoed it shrinks the budget by 10% and re-partitions, at most 6
+times, and exits 2 if none places. --threads N runs the
 region-allocation search on N worker threads (default: hardware
 concurrency; results are byte-identical for every N, and N=1 runs inline).
 --search-stats prints the branch-and-bound search counters (work units,
@@ -278,6 +280,49 @@ int cmd_generate(const Args& args, std::ostream& out) {
   return 0;
 }
 
+/// Prints a feasible floorplan: the ladder rung that placed it, one line per
+/// placed rectangle, and the placement-true Eq. 10/11 costs of `placed` (the
+/// scheme's evaluation patched by with_placement_frames) next to the Eq. 10
+/// estimate from its regions' tile requirements.
+void print_floorplan(std::ostream& out, const Device& device,
+                     const PlacedFloorplan& plan,
+                     const SchemeEvaluation& placed) {
+  out << "\nFloorplan on " << device.name() << " (" << to_string(plan.stage)
+      << "):\n";
+  for (const RegionPlacement& p : plan.placements) {
+    if (p.width == 0) continue;
+    out << "  PRR" << p.region + 1 << ": rows [" << p.row << ","
+        << p.row + p.height << ") cols [" << p.col << "," << p.col + p.width
+        << "), " << with_commas(plan.placed_frames[p.region]) << " frames\n";
+  }
+  std::uint64_t estimate = 0;
+  for (const RegionReport& region : placed.regions)
+    estimate += region.reconfig_pairs * region.tiles.frames();
+  out << "  placement-true: " << with_commas(placed.total_frames)
+      << " total frames (estimate " << with_commas(estimate) << "), worst "
+      << with_commas(placed.worst_frames) << "\n";
+}
+
+/// Writes each bitstream into `dir` as <name>.bit, with the `{`, `}` and `,`
+/// of configuration-set names turned into `_`. Returns the paths in order.
+std::vector<std::filesystem::path> write_bitstreams(
+    const std::filesystem::path& dir, const std::vector<Bitstream>& set) {
+  std::vector<std::filesystem::path> paths;
+  paths.reserve(set.size());
+  for (const Bitstream& b : set) {
+    std::string fname = b.name;
+    for (char& c : fname)
+      if (c == '{' || c == '}' || c == ',') c = '_';
+    const std::filesystem::path path = dir / (fname + ".bit");
+    std::ofstream f(path, std::ios::binary);
+    if (!f) throw ParseError("cannot write '" + path.string() + "'");
+    f.write(reinterpret_cast<const char*>(b.words.data()),
+            static_cast<std::streamsize>(b.words.size() * 4));
+    paths.push_back(path);
+  }
+  return paths;
+}
+
 int cmd_partition(const Args& args, std::ostream& out, std::ostream& err) {
   const bool json_out = args.has("json");
   if (json_out && (args.has("floorplan") || args.has("ucf")))
@@ -394,20 +439,8 @@ int cmd_partition(const Args& args, std::ostream& out, std::ostream& err) {
       }
       return 2;
     }
-    out << "\nFloorplan on " << device.name() << " ("
-        << to_string(plan.stage) << "):\n";
-    for (const RegionPlacement& p : plan.placements) {
-      if (p.width == 0) continue;
-      out << "  PRR" << p.region + 1 << ": rows [" << p.row << ","
-          << p.row + p.height << ") cols [" << p.col << "," << p.col + p.width
-          << "), " << with_commas(plan.placed_frames[p.region]) << " frames\n";
-    }
-    const SchemeEvaluation placed =
-        with_placement_frames(t.result.proposed.eval, plan);
-    out << "  placement-true: " << with_commas(placed.total_frames)
-        << " total frames (estimate "
-        << with_commas(t.result.proposed.eval.total_frames) << "), worst "
-        << with_commas(placed.worst_frames) << "\n";
+    print_floorplan(out, device, plan,
+                    with_placement_frames(t.result.proposed.eval, plan));
     if (const auto ucf_path = args.value("ucf")) {
       std::ofstream f(*ucf_path, std::ios::binary);
       if (!f) throw ParseError("cannot write '" + *ucf_path + "'");
@@ -729,19 +762,11 @@ int cmd_bitstreams(const Args& args, std::ostream& out, std::ostream& err) {
       << " bytes total\n";
   if (const auto dir = args.value("out")) {
     std::filesystem::create_directories(*dir);
-    for (const Bitstream& b : set) {
-      std::string fname = b.name;
-      for (char& c : fname)
-        if (c == '{' || c == '}' || c == ',') c = '_';
-      const std::filesystem::path path =
-          std::filesystem::path(*dir) / (fname + ".bit");
-      std::ofstream f(path, std::ios::binary);
-      if (!f) throw ParseError("cannot write '" + path.string() + "'");
-      f.write(reinterpret_cast<const char*>(b.words.data()),
-              static_cast<std::streamsize>(b.words.size() * 4));
-      out << "  " << path.string() << " (" << with_commas(b.bytes())
+    const std::vector<std::filesystem::path> paths =
+        write_bitstreams(*dir, set);
+    for (std::size_t i = 0; i < set.size(); ++i)
+      out << "  " << paths[i].string() << " (" << with_commas(set[i].bytes())
           << " bytes)\n";
-    }
   } else {
     for (const Bitstream& b : set)
       out << "  " << b.name << ": " << with_commas(b.bytes()) << " bytes ("
@@ -753,8 +778,7 @@ int cmd_bitstreams(const Args& args, std::ostream& out, std::ostream& err) {
 int cmd_flow(const Args& args, std::ostream& out, std::ostream& err) {
   const Design design = design_from_xml(read_file(args.positionals().at(1)));
   const DeviceLibrary lib = DeviceLibrary::extended();
-  FlowOptions opt;
-  opt.partitioner = options_from(args);
+  const PartitionerOptions opt = options_from(args);
 
   FlowResult r;
   if (const auto device = args.value("device")) {
@@ -769,6 +793,9 @@ int cmd_flow(const Args& args, std::ostream& out, std::ostream& err) {
   out << "device: " << r.device->name() << "\n";
   out << "feedback iterations: " << r.iterations << "\n";
   out << render_scheme_comparison(r.partitioning);
+  out << "placement winner: scheme " << r.winner_source + 1
+      << " of the Eq. 10 ranking\n";
+  print_floorplan(out, *r.device, r.floorplan, r.partitioning.proposed.eval);
   out << "bitstreams: " << r.bitstreams.size() << " ("
       << with_commas(total_bytes(r.bitstreams)) << " bytes)\n";
 
@@ -780,15 +807,7 @@ int cmd_flow(const Args& args, std::ostream& out, std::ostream& err) {
       if (!f) throw ParseError("cannot write UCF into '" + *dir + "'");
       f << r.ucf;
     }
-    for (const Bitstream& b : r.bitstreams) {
-      std::string fname = b.name;
-      for (char& c : fname)
-        if (c == '{' || c == '}' || c == ',') c = '_';
-      std::ofstream f(base / (fname + ".bit"), std::ios::binary);
-      if (!f) throw ParseError("cannot write bitstreams into '" + *dir + "'");
-      f.write(reinterpret_cast<const char*>(b.words.data()),
-              static_cast<std::streamsize>(b.words.size() * 4));
-    }
+    write_bitstreams(base, r.bitstreams);
     out << "wrote design.ucf and " << r.bitstreams.size()
         << " .bit files to " << *dir << "\n";
   }

@@ -56,8 +56,8 @@ struct PartitionerResult {
 
   std::vector<BasePartition> base_partitions;
   /// Ranked fitting schemes from the search (ascending objective; first is
-  /// `proposed` when proposed_from_search). Used by the flow's floorplan
-  /// feedback to try runners-up before shrinking the budget.
+  /// `proposed` when proposed_from_search). floorplan_rerank places the
+  /// top ones and re-ranks them by placement-true cost.
   std::vector<RankedScheme> alternatives;
   SearchStats stats;
 };

@@ -133,7 +133,7 @@ SchemeEvaluation evaluate_scheme(const Design& design,
                                  const ResourceVec& budget) {
   // One-shot convenience path: building the context is O(P·C) word work,
   // negligible next to the evaluation it serves. Hot callers (the search,
-  // the partitioner, the flow loop) hold a shared EvalContext instead.
+  // the partitioner) hold a shared EvalContext instead.
   EvalContext context(design, matrix, partitions);
   EvalScratch scratch;
   return context.evaluate(scheme, budget, scratch);

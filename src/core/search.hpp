@@ -47,9 +47,9 @@ struct SearchOptions {
   /// carries the canonical unweighted Eq. 10/11 numbers.
   const PairWeights* pair_weights = nullptr;
   /// Keep this many distinct best schemes (>= 1). The runners-up feed the
-  /// floorplanner feedback loop of the paper's §VI: when the best scheme
-  /// cannot be floorplanned, the flow tries the next one before resorting
-  /// to budget shrinking.
+  /// placement ladder's re-rank (floorplan_rerank): when the best scheme
+  /// cannot be floorplanned, or its placed rectangles waste more frames, a
+  /// runner-up takes its place before the flow resorts to budget shrinking.
   std::size_t keep_alternatives = 4;
   /// Worker threads for the search's fan-out over work units (candidate
   /// sets x first-move restarts). 0 = default_thread_count() (hardware

@@ -27,8 +27,8 @@ struct AnnealingOptions {
 /// zero-energy state is a legal floorplan.
 ///
 /// Slower than the deterministic rungs but able to untangle fragmented
-/// instances where largest-first commitment wedges: it is the placement
-/// ladder's last rung (anneal_refine) and the flow's escalation step.
+/// instances where largest-first commitment wedges: anneal_refine is the
+/// placement ladder's last rung.
 FloorplanResult anneal_place(const Device& device,
                              const std::vector<TileCount>& regions,
                              const AnnealingOptions& options = {});

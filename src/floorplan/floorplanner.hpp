@@ -73,8 +73,7 @@ FloorplanStats floorplan_stats(const Device& device,
 /// the one wasting the fewest frames. This models the vendor constraints
 /// (rectangular, tile-granular, non-overlapping) that the partitioner's
 /// resource check alone cannot see — a scheme can fit by resource count yet
-/// fail here, which is exactly the feedback loop the paper proposes as
-/// future work.
+/// fail here. It is the placement ladder's greedy rung (floorplan_scheme).
 class Floorplanner {
  public:
   explicit Floorplanner(const Device& device, FloorplanOptions options = {});

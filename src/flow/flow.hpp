@@ -5,34 +5,9 @@
 
 #include "bitstream/bitstream.hpp"
 #include "core/partitioner.hpp"
-#include "floorplan/annealing.hpp"
-#include "floorplan/floorplanner.hpp"
+#include "floorplan/placement.hpp"
 
 namespace prpart {
-
-/// Options for the complete tool flow.
-struct FlowOptions {
-  /// Partitioner configuration, including `partitioner.search.threads`:
-  /// the region-allocation search inside every feedback iteration fans its
-  /// work units over that many worker threads (0 = hardware concurrency)
-  /// and returns the same schemes for any value, so flow outcomes stay
-  /// reproducible while the hot path scales with the machine.
-  PartitionerOptions partitioner;
-  /// Floorplan feasibility feedback (the paper's §VI future work): when the
-  /// chosen scheme cannot be floorplanned, shrink the budget and
-  /// re-partition, up to this many iterations.
-  std::size_t max_feedback_iterations = 6;
-  /// Budget shrink per feedback iteration, in tenths (1 = 10%).
-  std::uint32_t budget_shrink_tenths = 1;
-  /// When greedy floorplanning fails for the best scheme and all ranked
-  /// alternatives, try the simulated-annealing floorplanner before
-  /// shrinking the budget (slower, but untangles fragmented instances).
-  bool use_annealing_fallback = true;
-  /// Knobs of that annealing fallback (seed, iterations, schedule). Flow
-  /// outcomes are reproducible because the annealer is a pure function of
-  /// these options — change the seed here to explore other packings.
-  AnnealingOptions annealing;
-};
 
 /// Everything the tool flow of Fig. 2 produces for one design on one
 /// device: the partitioning, the floorplan with UCF constraints, and the
@@ -41,28 +16,37 @@ struct FlowResult {
   bool success = false;
   std::string failure_reason;
   const Device* device = nullptr;
+  /// The partitioning of the last iteration that reached the floorplan
+  /// stage. On success `proposed` holds the placement ladder's winner: its
+  /// scheme and its placement-true evaluation, from which the bitstreams
+  /// were generated.
   PartitionerResult partitioning;
-  FloorplanResult floorplan;
+  /// The winner's floorplan; on failure, the vetoed floorplan of that
+  /// iteration's Eq. 10 winner.
+  PlacedFloorplan floorplan;
   std::string ucf;
   std::vector<Bitstream> bitstreams;
   /// 1 = floorplanned on the first try; >1 = feedback iterations used.
   std::size_t iterations = 0;
-  /// Index into the partitioner's ranked alternatives that floorplanned
-  /// (0 = the best scheme itself).
-  std::size_t alternative_used = 0;
+  /// The winner's position in the search's ranking (0 = the Eq. 10 winner),
+  /// as FloorplanRerank::winner_source.
+  std::size_t winner_source = 0;
 };
 
 /// Runs the whole flow on a fixed device: partition (steps 1-4), floorplan
-/// (step 5), constraints (step 6), bitstreams (step 7), with the
-/// partitioner <- floorplanner feedback loop closing infeasibility gaps.
+/// the top-K schemes through the placement ladder (floorplan_rerank, step
+/// 5), constraints (step 6), bitstreams (step 7). When the ladder vetoes
+/// every scheme, the budget shrinks by 10% and the design is re-partitioned
+/// (the paper's §VI feedback), at most 6 times. `options.search.threads`
+/// scales the search inside every iteration without changing its answer.
 FlowResult run_flow(const Design& design, const Device& device,
-                    const FlowOptions& options = {});
+                    const PartitionerOptions& options = {});
 
 /// Device-selection variant: walks the library from the smallest device up
 /// and returns the first device where the full flow (including
 /// floorplanning) succeeds. Throws DeviceError when none works.
 FlowResult run_flow_auto_device(const Design& design,
                                 const DeviceLibrary& library,
-                                const FlowOptions& options = {});
+                                const PartitionerOptions& options = {});
 
 }  // namespace prpart

@@ -118,13 +118,6 @@ class DynBitset {
   std::size_t word_count() const { return words_.size(); }
   std::uint64_t word(std::size_t w) const { return words_[w]; }
 
-  /// Contiguous word storage. Writers through
-  /// mutable_words() must uphold the masked-tail invariant above: bits in
-  /// [size(), word_count()*64) stay zero. The kernel's word loops only ever
-  /// combine same-capacity sets (zero tails in, zero tails out).
-  const std::uint64_t* words() const { return words_.data(); }
-  std::uint64_t* mutable_words() { return words_.data(); }
-
   /// Calls `fn(index)` for every set bit in increasing order. The word-wise
   /// scan (countr_zero + clear-lowest) touches each word once, so iterating
   /// a sparse set costs O(words + set bits) with no heap allocation —

@@ -413,11 +413,30 @@ TEST_F(CliTest, FlowWritesArtifacts) {
                            "--evals", "300000", "--out", out_dir});
   EXPECT_EQ(r.code, 0) << r.err;
   EXPECT_NE(r.out.find("device: XC5VFX70T"), std::string::npos);
+  EXPECT_NE(r.out.find("placement-true:"), std::string::npos);
   EXPECT_TRUE(fs::exists(fs::path(out_dir) / "design.ucf"));
   std::size_t bits = 0;
   for (const auto& entry : fs::directory_iterator(out_dir))
     if (entry.path().extension() == ".bit") ++bits;
   EXPECT_GT(bits, 0u);
+}
+
+TEST_F(CliTest, FlowRefusesFloorplanThatStarvesStaticLogic) {
+  // On the FX70T this design's schemes fit by resource count, but every
+  // floorplan of them leaves the static logic too few BRAMs outside the
+  // regions (the one-region answer spans the whole device). `floorplan`
+  // vetoes it, and `flow` must not write that floorplan as a success.
+  const std::string design = (dir_ / "logic1.xml").string();
+  ASSERT_EQ(invoke({"generate", "--seed", "1", "--class", "logic", "--out",
+                    design})
+                .code,
+            0);
+  const std::string out_dir = (dir_ / "flowout").string();
+  const CliRun r = invoke({"flow", design, "--device", "XC5VFX70T", "--evals",
+                           "60000", "--out", out_dir});
+  EXPECT_EQ(r.code, 2) << r.out;
+  EXPECT_NE(r.err.find("static logic needs"), std::string::npos) << r.err;
+  EXPECT_FALSE(fs::exists(fs::path(out_dir) / "design.ucf"));
 }
 
 TEST_F(CliTest, FlowAutoDevice) {

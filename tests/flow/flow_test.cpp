@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "design/synthetic.hpp"
 #include "synth/ip_library.hpp"
 #include "tests/core/example_designs.hpp"
@@ -15,13 +17,13 @@ using testing::paper_example;
 TEST(Flow, CaseStudyCompletesOnFX70T) {
   const Design design = synth::wireless_receiver_design();
   const DeviceLibrary lib = DeviceLibrary::virtex5();
-  FlowOptions opt;
-  opt.partitioner.search.max_candidate_sets = 64;
-  opt.partitioner.search.max_move_evaluations = 2'000'000;
+  PartitionerOptions opt;
+  opt.search.max_candidate_sets = 64;
+  opt.search.max_move_evaluations = 2'000'000;
   const FlowResult r = run_flow(design, lib.by_name("XC5VFX70T"), opt);
   ASSERT_TRUE(r.success) << r.failure_reason;
   EXPECT_TRUE(r.partitioning.proposed.eval.valid);
-  EXPECT_TRUE(r.floorplan.success);
+  EXPECT_TRUE(r.floorplan.feasible);
   EXPECT_NE(r.ucf.find("AREA_GROUP"), std::string::npos);
   EXPECT_FALSE(r.bitstreams.empty());
   for (const Bitstream& b : r.bitstreams) validate_bitstream(b);
@@ -77,32 +79,10 @@ TEST(Flow, FailureCarriesReason) {
   EXPECT_NE(r.failure_reason.find("does not fit"), std::string::npos);
 }
 
-TEST(Flow, InvalidShrinkRejected) {
-  const Design design = paper_example();
-  const DeviceLibrary lib = DeviceLibrary::virtex5();
-  FlowOptions opt;
-  opt.budget_shrink_tenths = 0;
-  // The shrink parameter is only touched when feedback fires, so force a
-  // failure path by checking validation directly on a device where the
-  // first floorplan may fail; accept either success or the invariant error.
-  // (Validation of the option itself is what we assert here.)
-  bool threw = false;
-  try {
-    // A fabricated device with one row and very few CLB columns makes
-    // rectangles scarce.
-    const Device cramped("cramped", {700, 4, 8}, 1);
-    run_flow(design, cramped, opt);
-  } catch (const InternalError&) {
-    threw = true;
-  }
-  // Either the flow succeeded without feedback, or it validated the option.
-  SUCCEED() << (threw ? "validated" : "no feedback needed");
-}
-
 TEST(Flow, SweepOfSyntheticDesignsCompletes) {
   const DeviceLibrary lib = DeviceLibrary::virtex5();
-  FlowOptions opt;
-  opt.partitioner.search.max_move_evaluations = 200'000;
+  PartitionerOptions opt;
+  opt.search.max_move_evaluations = 200'000;
   const auto suite = generate_synthetic_suite(808, 10);
   std::size_t succeeded = 0;
   for (const SyntheticDesign& s : suite) {
@@ -117,6 +97,44 @@ TEST(Flow, SweepOfSyntheticDesignsCompletes) {
     }
   }
   EXPECT_GE(succeeded, 8u);
+}
+
+/// The placement ladder's static check, restated: the static logic fits in
+/// the device capacity the placed rectangles leave over. (A rectangle can
+/// provide more of a resource than the datasheet capacity, because column
+/// grids round up to whole columns, so the difference saturates at zero.)
+bool static_fits_outside_regions(const Device& device, const FlowResult& r) {
+  ResourceVec used;
+  for (const RegionPlacement& p : r.floorplan.placements)
+    used += p.provided.resources();
+  const ResourceVec cap = device.capacity();
+  const ResourceVec left{cap.clbs - std::min(cap.clbs, used.clbs),
+                         cap.brams - std::min(cap.brams, used.brams),
+                         cap.dsps - std::min(cap.dsps, used.dsps)};
+  return r.partitioning.proposed.eval.static_resources.fits_in(left);
+}
+
+TEST(Flow, EverySuccessPassesThePlacementLaddersStaticCheck) {
+  // A flow success is a floorplan the placement ladder accepts: every
+  // region placed and the static logic fitting the fabric the rectangles
+  // leave over. Resource-count fit alone admits whole-device regions that
+  // starve the static logic.
+  const DeviceLibrary lib = DeviceLibrary::virtex5();
+  PartitionerOptions opt;
+  opt.search.max_move_evaluations = 400'000;
+  std::size_t succeeded = 0;
+  for (const SyntheticDesign& s : generate_synthetic_suite(555, 12)) {
+    const DevicePartitionResult dp =
+        partition_on_smallest_device(s.design, lib, opt);
+    if (!dp.result.feasible) continue;
+    const FlowResult r = run_flow(s.design, *dp.device, opt);
+    if (!r.success) continue;
+    ++succeeded;
+    EXPECT_TRUE(r.floorplan.feasible) << s.design.name();
+    EXPECT_TRUE(static_fits_outside_regions(*dp.device, r))
+        << s.design.name();
+  }
+  EXPECT_GT(succeeded, 0u);
 }
 
 }  // namespace

@@ -289,20 +289,5 @@ TEST(BitsetTest, TailWordCountMatchesWordPopcounts) {
   EXPECT_EQ(b.count(), raw_word_popcount(b));
 }
 
-TEST(BitsetTest, TailWordMutableWordsPreservesInvariantForSameCapacityOr) {
-  // Writers through mutable_words() combine same-capacity sets;
-  // OR/AND/ANDNOT of zero tails leaves a zero tail.
-  DynBitset dst(70);
-  DynBitset src(70);
-  src.set(69);
-  src.set(1);
-  std::uint64_t* d = dst.mutable_words();
-  const std::uint64_t* s = src.words();
-  for (std::size_t w = 0; w < dst.word_count(); ++w) d[w] |= s[w];
-  EXPECT_EQ(tail_garbage(dst), 0u);
-  EXPECT_EQ(dst.bits(), (std::vector<std::size_t>{1, 69}));
-  EXPECT_EQ(dst.count(), raw_word_popcount(dst));
-}
-
 }  // namespace
 }  // namespace prpart
