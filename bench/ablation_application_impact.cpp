@@ -8,7 +8,7 @@
 #include <iostream>
 
 #include "core/partitioner.hpp"
-#include "reconfig/application.hpp"
+#include "benchlib/application.hpp"
 #include "synth/ip_library.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"

@@ -11,7 +11,7 @@
 
 #include "core/partitioner.hpp"
 #include "reconfig/icap.hpp"
-#include "stream/pipeline.hpp"
+#include "benchlib/pipeline.hpp"
 #include "synth/ip_library.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"

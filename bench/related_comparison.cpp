@@ -9,7 +9,7 @@
 
 #include "core/partitioner.hpp"
 #include "design/synthetic.hpp"
-#include "related/rana_clustering.hpp"
+#include "benchlib/rana_clustering.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 

@@ -7,8 +7,8 @@
 
 #include "core/partitioner.hpp"
 #include "reconfig/controller.hpp"
-#include "reconfig/policy.hpp"
-#include "stream/pipeline.hpp"
+#include "benchlib/policy.hpp"
+#include "benchlib/pipeline.hpp"
 #include "synth/ip_library.hpp"
 #include "util/strings.hpp"
 

@@ -30,6 +30,7 @@
 #include "flow/flow.hpp"
 #include "reconfig/markov.hpp"
 #include "server/client.hpp"
+#include "server/job.hpp"
 #include "server/protocol.hpp"
 #include "server/router.hpp"
 #include "server/server.hpp"
@@ -147,6 +148,12 @@ std::string read_file(const std::string& path) {
   return buf.str();
 }
 
+void write_file(const std::string& path, const std::string& content) {
+  std::ofstream f(path, std::ios::binary);
+  if (!f) throw ParseError("cannot write '" + path + "'");
+  f << content;
+}
+
 ResourceVec parse_budget(const std::string& spec) {
   const std::vector<std::string> parts = split(spec, ',');
   if (parts.size() != 3)
@@ -156,48 +163,29 @@ ResourceVec parse_budget(const std::string& spec) {
           static_cast<std::uint32_t>(parse_u64(parts[2]))};
 }
 
-/// Resolves the target: explicit budget, named device, or smallest-device
-/// search. Returns the partitioning result plus the device used (nullptr
-/// for an explicit budget).
-struct Target {
-  PartitionerResult result;
-  const Device* device = nullptr;
-  ResourceVec budget;
-};
-
-Target resolve_and_partition(const Design& design, const Args& args,
-                             const DeviceLibrary& library,
-                             const PartitionerOptions& options) {
-  Target t;
-  if (const auto budget = args.value("budget")) {
-    t.budget = parse_budget(*budget);
-    t.result = partition_design(design, t.budget, options);
-    return t;
-  }
-  if (const auto device = args.value("device")) {
-    const Device& d = library.by_name(*device);
-    t.device = &d;
-    t.budget = d.capacity();
-    t.result = partition_design(design, t.budget, options);
-    return t;
-  }
-  DevicePartitionResult dp =
-      partition_on_smallest_device(design, library, options);
-  t.device = dp.device;
-  t.budget = dp.device->capacity();
-  t.result = std::move(dp.result);
-  return t;
-}
-
 PartitionerOptions options_from(const Args& args) {
-  PartitionerOptions opt;
-  opt.search.max_candidate_sets = args.u64_or("candidate-sets", 48);
-  opt.search.max_move_evaluations = args.u64_or("evals", 2'000'000);
+  PartitionerOptions opt = server::default_partitioner_options();
+  opt.search.max_candidate_sets =
+      args.u64_or("candidate-sets", opt.search.max_candidate_sets);
+  opt.search.max_move_evaluations =
+      args.u64_or("evals", opt.search.max_move_evaluations);
   // --threads N fans the search's work units over N workers; the default 0
   // resolves to hardware concurrency and 1 runs inline. Any value returns
   // byte-identical schemes (see DESIGN.md, parallel search).
   opt.search.threads = static_cast<unsigned>(args.u64_or("threads", 0));
   return opt;
+}
+
+/// The --budget/--device target with the effort flags, as the job engine
+/// reads it. With both flags the budget wins.
+server::PartitionRequest target_from(const Args& args) {
+  server::PartitionRequest target;
+  target.options = options_from(args);
+  if (const auto budget = args.value("budget"))
+    target.budget = parse_budget(*budget);
+  else if (const auto device = args.value("device"))
+    target.device = *device;
+  return target;
 }
 
 int cmd_devices(std::ostream& out) {
@@ -270,9 +258,7 @@ int cmd_generate(const Args& args, std::ostream& out) {
   const SyntheticDesign s = generate_synthetic(rng, circuit_class);
   const std::string xml = design_to_xml(s.design);
   if (const auto path = args.value("out")) {
-    std::ofstream f(*path, std::ios::binary);
-    if (!f) throw ParseError("cannot write '" + *path + "'");
-    f << xml;
+    write_file(*path, xml);
     out << "wrote " << *path << "\n";
   } else {
     out << xml;
@@ -280,21 +266,27 @@ int cmd_generate(const Args& args, std::ostream& out) {
   return 0;
 }
 
-/// Prints a feasible floorplan: the ladder rung that placed it, one line per
-/// placed rectangle, and the placement-true Eq. 10/11 costs of `placed` (the
-/// scheme's evaluation patched by with_placement_frames) next to the Eq. 10
-/// estimate from its regions' tile requirements.
-void print_floorplan(std::ostream& out, const Device& device,
-                     const PlacedFloorplan& plan,
-                     const SchemeEvaluation& placed) {
-  out << "\nFloorplan on " << device.name() << " (" << to_string(plan.stage)
-      << "):\n";
+/// Prints a feasible floorplan under `heading`: the ladder rung that placed
+/// it and one line per placed rectangle.
+void print_rectangles(std::ostream& out, const std::string& heading,
+                      const Device& device, const PlacedFloorplan& plan) {
+  out << "\n" << heading << " on " << device.name() << " ("
+      << to_string(plan.stage) << "):\n";
   for (const RegionPlacement& p : plan.placements) {
     if (p.width == 0) continue;
     out << "  PRR" << p.region + 1 << ": rows [" << p.row << ","
         << p.row + p.height << ") cols [" << p.col << "," << p.col + p.width
         << "), " << with_commas(plan.placed_frames[p.region]) << " frames\n";
   }
+}
+
+/// print_rectangles plus the placement-true Eq. 10/11 costs of `placed` (the
+/// scheme's evaluation patched by with_placement_frames) next to the Eq. 10
+/// estimate from its regions' tile requirements.
+void print_floorplan(std::ostream& out, const Device& device,
+                     const PlacedFloorplan& plan,
+                     const SchemeEvaluation& placed) {
+  print_rectangles(out, "Floorplan", device, plan);
   std::uint64_t estimate = 0;
   for (const RegionReport& region : placed.regions)
     estimate += region.reconfig_pairs * region.tiles.frames();
@@ -329,70 +321,43 @@ int cmd_partition(const Args& args, std::ostream& out, std::ostream& err) {
     throw ParseError("--json cannot be combined with --floorplan/--ucf");
   const Design design = design_from_xml(read_file(args.positionals().at(1)));
   const DeviceLibrary lib = DeviceLibrary::extended();
-  // Lower-bound pre-check for explicit targets: a provably hopeless design
-  // is rejected with the proof before any search runs. (--json keeps the
-  // full engine run so its payload stays byte-identical to the server's.)
+  const server::PartitionRequest target = target_from(args);
+  // The server's admission pre-check: a provably hopeless explicit target
+  // is rejected with the proof before any search runs. --json skips it and
+  // prints the engine's `feasible: false` payload instead, where the server
+  // answers `infeasible` (docs/protocol.md).
   if (!json_out) {
-    std::optional<ResourceVec> pre_budget;
-    std::string label = "budget";
-    if (const auto b = args.value("budget")) {
-      pre_budget = parse_budget(*b);
-    } else if (const auto d = args.value("device")) {
-      const Device& device = lib.by_name(*d);
-      pre_budget = device.capacity();
-      label = device.name();
-    }
-    if (pre_budget) {
-      if (const auto proof =
-              analysis::prove_infeasible(design, *pre_budget, lib, label)) {
-        err << "design does not fit the target (lower bound "
-            << (design.largest_configuration_area() + design.static_base())
-                   .to_string()
-            << ", budget " << pre_budget->to_string() << ")\n"
-            << "  " << proof->to_string() << "\n";
-        if (!proof->smallest_fitting_device.empty())
-          err << "  smallest fitting library device: "
-              << proof->smallest_fitting_device << "\n";
-        return 2;
-      }
+    if (const auto proof = server::precheck_target(design, target, lib)) {
+      err << server::does_not_fit(design, proof->capacity) << "\n"
+          << "  " << proof->to_string() << "\n";
+      if (!proof->smallest_fitting_device.empty())
+        err << "  smallest fitting library device: "
+            << proof->smallest_fitting_device << "\n";
+      return 2;
     }
   }
-  const Target t =
-      resolve_and_partition(design, args, lib, options_from(args));
+  const server::TargetRun t = server::run_target(design, target, lib);
   if (json_out) {
     // Same encoder as the server's `result` payload, so scripted callers
     // and the integration tests can diff the two byte for byte.
-    out << server::partition_result_json(design, t.result,
-                                         t.device ? t.device->name() : "",
+    out << server::partition_result_json(design, t.result, t.device_name,
                                          t.budget)
                .dump()
         << "\n";
-    if (const auto save = args.value("save")) {
-      if (!t.result.feasible) throw ParseError("--save needs a feasible result");
-      std::ofstream f(*save, std::ios::binary);
-      if (!f) throw ParseError("cannot write '" + *save + "'");
-      f << partitioning_to_xml(design, t.result.base_partitions,
-                               t.result.proposed.scheme,
-                               t.result.proposed.eval);
-      err << "saved partitioning to " << *save << "\n";
-    }
-    return t.result.feasible ? 0 : 2;
-  }
-  if (!t.result.feasible) {
-    err << "design does not fit the target (lower bound "
-        << (design.largest_configuration_area() + design.static_base())
-               .to_string()
-        << ", budget " << t.budget.to_string() << ")\n";
+  } else if (!t.result.feasible) {
+    err << server::does_not_fit(design, t.budget) << "\n";
     return 2;
+  } else {
+    if (!t.device_name.empty())
+      out << "target device: " << t.device_name << "\n";
+    out << "budget: " << t.budget.to_string() << "\n\n";
+    out << render_scheme_comparison(t.result);
+    out << "\nProposed partitioning:\n"
+        << render_scheme_partitions(design, t.result.base_partitions,
+                                    t.result.proposed.scheme);
   }
-  if (t.device) out << "target device: " << t.device->name() << "\n";
-  out << "budget: " << t.budget.to_string() << "\n\n";
-  out << render_scheme_comparison(t.result);
-  out << "\nProposed partitioning:\n"
-      << render_scheme_partitions(design, t.result.base_partitions,
-                                  t.result.proposed.scheme);
 
-  if (args.has("search-stats")) {
+  if (args.has("search-stats") && !json_out) {
     const SearchStats& s = t.result.stats;
     out << "\nSearch statistics:\n"
         << "  work units:       " << s.units << " (" << s.units_pruned
@@ -416,19 +381,16 @@ int cmd_partition(const Args& args, std::ostream& out, std::ostream& err) {
   }
 
   if (const auto save = args.value("save")) {
-    std::ofstream f(*save, std::ios::binary);
-    if (!f) throw ParseError("cannot write '" + *save + "'");
-    f << partitioning_to_xml(design, t.result.base_partitions,
-                             t.result.proposed.scheme, t.result.proposed.eval);
-    out << "saved partitioning to " << *save << "\n";
+    if (!t.result.feasible) throw ParseError("--save needs a feasible result");
+    write_file(*save, partitioning_to_xml(design, t.result.base_partitions,
+                                          t.result.proposed.scheme,
+                                          t.result.proposed.eval));
+    (json_out ? err : out) << "saved partitioning to " << *save << "\n";
   }
+  if (!t.result.feasible) return 2;
 
   if (args.has("floorplan") || args.has("ucf")) {
-    const Device& device = t.device ? *t.device : *[&]() -> const Device* {
-      const Device* d = lib.smallest_fitting(t.budget);
-      if (!d) throw DeviceError("no library device covers the budget");
-      return d;
-    }();
+    const Device& device = t.placement_device();
     const PlacedFloorplan plan =
         floorplan_scheme(device, t.result.proposed.eval, {}, &lib);
     if (!plan.feasible) {
@@ -442,9 +404,7 @@ int cmd_partition(const Args& args, std::ostream& out, std::ostream& err) {
     print_floorplan(out, device, plan,
                     with_placement_frames(t.result.proposed.eval, plan));
     if (const auto ucf_path = args.value("ucf")) {
-      std::ofstream f(*ucf_path, std::ios::binary);
-      if (!f) throw ParseError("cannot write '" + *ucf_path + "'");
-      f << to_ucf(device, plan.placements);
+      write_file(*ucf_path, to_ucf(device, plan.placements));
       out << "wrote " << *ucf_path << "\n";
     }
   }
@@ -466,46 +426,33 @@ int cmd_floorplan(const Args& args, std::ostream& out, std::ostream& err) {
   const Design design = design_from_xml(read_file(args.positionals().at(1)));
   const DeviceLibrary lib = DeviceLibrary::extended();
   const server::FloorplanParams params = floorplan_params_from(args);
-  const Target t =
-      resolve_and_partition(design, args, lib, options_from(args));
-  const std::string device_name = t.device ? t.device->name() : "";
+  const server::TargetRun t = server::run_target(design, target_from(args), lib);
   if (!t.result.feasible) {
     if (json_out) {
-      out << server::floorplan_result_json(design, t.result, {}, device_name,
+      out << server::floorplan_result_json(design, t.result, {}, t.device_name,
                                            t.budget)
                  .dump()
           << "\n";
     } else {
-      err << "design does not fit the target (lower bound "
-          << (design.largest_configuration_area() + design.static_base())
-                 .to_string()
-          << ", budget " << t.budget.to_string() << ")\n";
+      err << server::does_not_fit(design, t.budget) << "\n";
     }
     return 2;
   }
 
-  // Placement target: the named/auto-walked device, or — for an explicit
-  // budget — the first library device whose capacity covers it (rectangles
-  // need real columns).
-  const Device* device = t.device;
-  if (!device) {
-    device = lib.smallest_fitting(t.budget);
-    if (!device) throw DeviceError("no library device covers the budget");
-  }
-
+  const Device& device = t.placement_device();
   const FloorplanRerank rerank = floorplan_rerank(
-      design, t.result, *device, t.budget, params.rerank_options(), &lib);
+      design, t.result, device, t.budget, params.rerank_options(), &lib);
   if (json_out) {
     // Same encoder as the server's `floorplan` result payload, byte for
     // byte (the same contract as `partition --json`).
     out << server::floorplan_result_json(design, t.result, rerank,
-                                         device_name, t.budget)
+                                         t.device_name, t.budget)
                .dump()
         << "\n";
     return rerank.any_feasible ? 0 : 2;
   }
 
-  out << "placement device: " << device->name() << "\n";
+  out << "placement device: " << device.name() << "\n";
   out << "budget: " << t.budget.to_string() << "\n\n";
   out << "Placement-true re-ranking (" << rerank.ranked.size()
       << " enumerated schemes, " << rerank.vetoed_count << " vetoed):\n";
@@ -529,7 +476,7 @@ int cmd_floorplan(const Args& args, std::ostream& out, std::ostream& err) {
     }
   }
   if (!rerank.any_feasible) {
-    err << "no enumerated scheme has a legal floorplan on " << device->name()
+    err << "no enumerated scheme has a legal floorplan on " << device.name()
         << "\n";
     return 2;
   }
@@ -548,22 +495,12 @@ int cmd_floorplan(const Args& args, std::ostream& out, std::ostream& err) {
     out << "\nthe Eq. 10 winner survives placement\n";
   }
 
-  out << "\nWinner floorplan on " << device->name() << " ("
-      << to_string(winner.plan.stage) << "):\n";
-  for (std::size_t r = 0; r < winner.plan.placements.size(); ++r) {
-    const RegionPlacement& p = winner.plan.placements[r];
-    if (p.width == 0) continue;
-    out << "  PRR" << r + 1 << ": rows [" << p.row << "," << p.row + p.height
-        << ") cols [" << p.col << "," << p.col + p.width << "), "
-        << with_commas(winner.plan.placed_frames[r]) << " frames\n";
-  }
+  print_rectangles(out, "Winner floorplan", device, winner.plan);
   out << "\nWinning partitioning:\n"
       << render_scheme_partitions(design, t.result.base_partitions,
                                   winner.scheme);
   if (const auto ucf_path = args.value("ucf")) {
-    std::ofstream f(*ucf_path, std::ios::binary);
-    if (!f) throw ParseError("cannot write '" + *ucf_path + "'");
-    f << to_ucf(*device, winner.plan.placements);
+    write_file(*ucf_path, to_ucf(device, winner.plan.placements));
     out << "wrote " << *ucf_path << "\n";
   }
   return 0;
@@ -613,13 +550,13 @@ int cmd_simulate(const Args& args, std::ostream& out, std::ostream& err) {
     schemes.push_back(std::move(scheme));
     evals.push_back(std::move(eval));
   } else {
-    const Target t =
-        resolve_and_partition(design, args, lib, options_from(args));
+    const server::TargetRun t =
+        server::run_target(design, target_from(args), lib);
     if (!t.result.feasible) {
-      err << "design does not fit the target\n";
+      err << server::does_not_fit(design, t.budget) << "\n";
       return 2;
     }
-    if (t.device) device_name = t.device->name();
+    device_name = t.device_name;
     budget = t.budget;
     schemes.push_back(t.result.proposed.scheme);
     evals.push_back(t.result.proposed.eval);
@@ -642,23 +579,20 @@ int cmd_simulate(const Args& args, std::ostream& out, std::ostream& err) {
       // Replay against placement-true ICAP costs: floorplan every scheme
       // through the ladder and patch its frame counts. A vetoed proposal is
       // fatal; vetoed runners-up just drop out of the --rank replay.
-      const Device* device = t.device ? t.device : lib.smallest_fitting(t.budget);
-      if (!device) throw DeviceError("no library device covers the budget");
+      const Device& device = t.placement_device();
       std::vector<PartitionScheme> kept_schemes;
       std::vector<SchemeEvaluation> kept_evals;
       for (std::size_t i = 0; i < schemes.size(); ++i) {
-        const PlacedFloorplan plan = floorplan_scheme(*device, evals[i]);
-        if (!plan.feasible) {
-          if (i == 0) {
-            err << "the proposed scheme has no legal floorplan on "
-                << device->name() << "\n";
-            return 2;
-          }
-          continue;
+        std::optional<SchemeEvaluation> placed =
+            server::placement_true(device, std::move(evals[i]));
+        if (!placed && i == 0) {
+          err << "the proposed scheme has no legal floorplan on "
+              << device.name() << "\n";
+          return 2;
         }
+        if (!placed) continue;
         kept_schemes.push_back(std::move(schemes[i]));
-        kept_evals.push_back(
-            with_placement_frames(std::move(evals[i]), plan));
+        kept_evals.push_back(std::move(*placed));
       }
       schemes = std::move(kept_schemes);
       evals = std::move(kept_evals);
@@ -692,10 +626,7 @@ int cmd_simulate(const Args& args, std::ostream& out, std::ostream& err) {
     env = std::move(setup.env);
   }
 
-  sim::SimulationOptions sopt;
-  sopt.prefetch = params.prefetch;
-  sopt.predictor = &*env;
-  sopt.inter_arrival_ns = params.inter_arrival_ns;
+  sim::SimulationOptions sopt = server::simulation_options(params, *env);
   sopt.idle_frames_budget = args.u64_or("idle-frames", ~std::uint64_t{0});
 
   std::vector<sim::SchemeRef> refs;
@@ -749,10 +680,9 @@ int cmd_simulate(const Args& args, std::ostream& out, std::ostream& err) {
 int cmd_bitstreams(const Args& args, std::ostream& out, std::ostream& err) {
   const Design design = design_from_xml(read_file(args.positionals().at(1)));
   const DeviceLibrary lib = DeviceLibrary::extended();
-  const Target t =
-      resolve_and_partition(design, args, lib, options_from(args));
+  const server::TargetRun t = server::run_target(design, target_from(args), lib);
   if (!t.result.feasible) {
-    err << "design does not fit the target\n";
+    err << server::does_not_fit(design, t.budget) << "\n";
     return 2;
   }
   const auto set =
@@ -1013,12 +943,7 @@ int cmd_submit(const Args& args, std::ostream& out, std::ostream& err) {
   if (const auto budget = args.value("budget")) req.budget = parse_budget(*budget);
   if (!req.device.empty() && req.budget)
     throw ParseError("--device and --budget are mutually exclusive");
-  req.options = server::default_partitioner_options();
-  req.options.search.max_candidate_sets =
-      args.u64_or("candidate-sets", req.options.search.max_candidate_sets);
-  req.options.search.max_move_evaluations =
-      args.u64_or("evals", req.options.search.max_move_evaluations);
-  req.options.search.threads = static_cast<unsigned>(args.u64_or("threads", 0));
+  req.options = options_from(args);
   req.timeout_ms = args.u64_or("timeout", 0);
 
   server::Client client = connect_client(args);
@@ -1166,12 +1091,9 @@ int run(const std::vector<std::string>& args, std::ostream& out,
     }
     err << "unknown command '" << command << "'\n" << kUsage;
     return 1;
-  } catch (const Error& e) {
-    err << "error: " << e.what() << "\n";
-    return 1;
   } catch (const std::exception& e) {
-    // Anything below Error (std::out_of_range from a missing positional,
-    // bad_alloc, ...) must still exit non-zero instead of aborting.
+    // Every Error, and anything below it (std::out_of_range from a missing
+    // positional, bad_alloc, ...), exits non-zero instead of aborting.
     err << "error: " << e.what() << "\n";
     return 1;
   }

@@ -6,6 +6,7 @@
 #include "core/eval_kernel.hpp"
 #include "design/io_xml.hpp"
 #include "server/hash.hpp"
+#include "server/job.hpp"
 #include "util/clock.hpp"
 #include "util/parallel_for.hpp"
 #include "util/status.hpp"
@@ -274,30 +275,13 @@ void Server::admit_job(std::uint64_t token, PartitionRequest request,
   // Lower-bound pre-check for explicit targets: a provably hopeless job is
   // answered `infeasible` with the proof before admission, so it never
   // occupies a queue slot or burns a search.
-  {
-    std::optional<ResourceVec> budget;
-    std::string label;
-    if (!request.device.empty()) {
-      const Device& device = library_.by_name(request.device);
-      budget = device.capacity();
-      label = device.name();
-    } else if (request.budget) {
-      budget = *request.budget;
-      label = "budget";
-    }
-    if (budget) {
-      if (const auto proof =
-              analysis::prove_infeasible(design, *budget, library_, label)) {
-        stats_.job_infeasible(latency_us_since(submit_ns));
-        reactor_->post_final(token, error_response(
-            request.id, ErrorCode::Infeasible,
-            "design does not fit the target (lower bound " +
-                (design.largest_configuration_area() + design.static_base())
-                    .to_string() +
-                ", budget " + budget->to_string() + "); " + proof->to_string()));
-        return;
-      }
-    }
+  if (const auto proof = precheck_target(design, request, library_)) {
+    stats_.job_infeasible(latency_us_since(submit_ns));
+    reactor_->post_final(
+        token, error_response(request.id, ErrorCode::Infeasible,
+                              does_not_fit(design, proof->capacity) + "; " +
+                                  proof->to_string()));
+    return;
   }
   if (request.options.search.threads == 0)
     request.options.search.threads = std::max(1u, options_.job_threads);
@@ -414,135 +398,26 @@ void Server::execute_job(Job& job, WorkerPool& pool, EvalScratch& scratch) {
   std::string response;
   try {
     check_cancel(&job.cancel);  // the deadline may have fired while queued
-    PartitionerOptions options = job.request.options;
-    options.search.cancel = &job.cancel;
-    options.search.pool = &pool;
-    options.search.scratch = &scratch;
-
-    PartitionerResult result;
-    std::string device_name;
-    ResourceVec budget;
-    const Device* device = nullptr;  ///< placement target (floorplan stages)
-    if (!job.request.device.empty()) {
-      device = &library_.by_name(job.request.device);
-      device_name = device->name();
-      budget = device->capacity();
-      result = partition_design(job.design, budget, options);
-    } else if (job.request.budget) {
-      budget = *job.request.budget;
-      result = partition_design(job.design, budget, options);
-      // Floorplan stages need real columns: place on the first library
-      // device whose capacity covers the budget.
-      if (job.floorplan || (job.simulate && job.simulate->floorplan))
-        device = library_.smallest_fitting(budget);
-    } else {
-      DevicePartitionResult dp;
-      try {
-        dp = partition_on_smallest_device(job.design, library_, options);
-      } catch (const DeviceError&) {
-        // The lower bound ruled out every device before anything was built.
-        WalkStats walk;
-        walk.devices_skipped_infeasible = library_.devices().size();
-        stats_.walk_finished(walk);
-        throw;
-      }
-      stats_.walk_finished(dp.walk);
-      device = dp.device;
-      device_name = dp.device->name();
-      budget = dp.device->capacity();
-      result = std::move(dp.result);
-    }
-
-    stats_.search_finished(result.stats);
-    if (!result.feasible) {
-      stats_.job_infeasible(latency_us_since(job.submit_ns));
-      response = error_response(
-          job.request.id, ErrorCode::Infeasible,
-          "design does not fit the target (lower bound " +
-              (job.design.largest_configuration_area() +
-               job.design.static_base())
-                  .to_string() +
-              ", budget " + budget.to_string() + ")");
-    } else {
-      std::string payload;
-      if (job.floorplan) {
-        require(device != nullptr,
-                "no library device covers the requested budget");
-        const FloorplanRerank rerank =
-            floorplan_rerank(job.design, result, *device, budget,
-                             job.floorplan->rerank_options(), &library_);
-        stats_.floorplan_finished(rerank.ranked.size(), rerank.vetoed_count,
-                                  rerank.overturned);
-        if (!rerank.any_feasible) {
-          stats_.job_infeasible(latency_us_since(job.submit_ns));
-          reactor_->post_final(job.token, error_response(
-              job.request.id, ErrorCode::Infeasible,
-              "no enumerated scheme has a legal floorplan on " +
-                  device->name()));
-          return;
-        }
-        payload = floorplan_result_json(job.design, result, rerank,
-                                        device_name, budget)
-                      .dump();
-      } else if (job.simulate) {
-        const SimulateParams& params = *job.simulate;
-        SchemeEvaluation eval = result.proposed.eval;
-        if (params.floorplan) {
-          // Replay against placement-true ICAP costs: floorplan the
-          // proposed scheme and patch its frame counts before simulating.
-          require(device != nullptr,
-                  "no library device covers the requested budget");
-          const PlacedFloorplan plan = floorplan_scheme(*device, eval);
-          stats_.floorplan_finished(1, plan.feasible ? 0 : 1, false);
-          if (!plan.feasible) {
-            stats_.job_infeasible(latency_us_since(job.submit_ns));
-            reactor_->post_final(job.token, error_response(
-                job.request.id, ErrorCode::Infeasible,
-                "the proposed scheme has no legal floorplan on " +
-                    device->name()));
-            return;
-          }
-          eval = with_placement_frames(std::move(eval), plan);
-        }
-        const SimulateSetup setup = simulate_setup(
-            job.design.configurations().size(), params);
-        sim::SimulationOptions sopt;
-        sopt.prefetch = params.prefetch;
-        sopt.predictor = &setup.env;
-        sopt.inter_arrival_ns = params.inter_arrival_ns;
-        const sim::SimulationResult sr =
-            sim::simulate_scheme(job.design, result.proposed.scheme, eval,
-                                 setup.trace, sopt);
-        stats_.simulation_finished(sr.transitions, sr.frames_loaded);
-        payload = simulate_result_json(
-                      job.design, device_name, budget, params, setup.source,
-                      setup.trace.transitions(),
-                      {SimulatedScheme{"proposed", eval.total_frames,
-                                       eval.worst_frames, sr}})
-                      .dump();
-      } else {
-        payload =
-            partition_result_json(job.design, result, device_name, budget)
-                .dump();
-      }
+    job.request.options.search.cancel = &job.cancel;
+    job.request.options.search.pool = &pool;
+    job.request.options.search.scratch = &scratch;
+    const JobRun run = run_job(job.design, job.request, job.simulate,
+                               job.floorplan, library_);
+    if (run.infeasible.empty()) {
       // Deterministic engine: the stored bytes equal any future cold run,
       // so cache hits are byte-identical to fresh responses.
-      store_.store(job.cache_key, payload);
-      if (!job.line_key.empty()) line_cache_.store(job.line_key, payload);
-      stats_.job_completed(latency_us_since(job.submit_ns));
-      response = ok_response(job.request.id, payload);
+      store_.store(job.cache_key, run.payload);
+      if (!job.line_key.empty()) line_cache_.store(job.line_key, run.payload);
     }
+    stats_.job_ran(run, latency_us_since(job.submit_ns));
+    response = run.infeasible.empty()
+                   ? ok_response(job.request.id, run.payload)
+                   : error_response(job.request.id, ErrorCode::Infeasible,
+                                    run.infeasible);
   } catch (const CancelledError&) {
     stats_.job_timed_out();
     response = error_response(job.request.id, ErrorCode::Timeout,
                               "job exceeded its deadline");
-  } catch (const DeviceError& e) {
-    // Auto-device mode: the design fits no library device at all.
-    stats_.job_infeasible(latency_us_since(job.submit_ns));
-    response = error_response(job.request.id, ErrorCode::Infeasible, e.what());
-  } catch (const Error& e) {
-    stats_.job_failed();
-    response = error_response(job.request.id, ErrorCode::Internal, e.what());
   } catch (const std::exception& e) {
     stats_.job_failed();
     response = error_response(job.request.id, ErrorCode::Internal, e.what());

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <string>
 
+#include "server/job.hpp"
+
 namespace prpart::server {
 
 std::uint64_t LatencyHistogram::percentile(double p) const {
@@ -104,12 +106,6 @@ void ServerStats::job_rejected() {
   ++rejected_;
 }
 
-void ServerStats::job_completed(std::uint64_t latency_us) {
-  const MutexLock lock(mutex_);
-  ++completed_;
-  record_latency(latency_us);
-}
-
 void ServerStats::job_infeasible(std::uint64_t latency_us) {
   const MutexLock lock(mutex_);
   ++infeasible_;
@@ -142,41 +138,37 @@ void ServerStats::job_queued_notice() {
   ++queued_notices_;
 }
 
-void ServerStats::search_finished(const SearchStats& stats) {
+void ServerStats::job_ran(const JobRun& run, std::uint64_t latency_us) {
   const MutexLock lock(mutex_);
-  search_units_ += stats.units;
-  search_units_pruned_ += stats.units_pruned;
-  search_units_pruned_sterile_ += stats.units_pruned_sterile;
-  search_move_evaluations_ += stats.move_evaluations;
-  search_full_evaluations_ += stats.full_evaluations;
-  search_moves_rescored_ += stats.moves_rescored;
-  search_kernel_evaluations_ += stats.kernel_evaluations;
-  search_signature_collapsed_configs_ += stats.signature_collapsed_configs;
-}
-
-void ServerStats::walk_finished(const WalkStats& walk) {
-  const MutexLock lock(mutex_);
-  walk_.devices_skipped_infeasible += walk.devices_skipped_infeasible;
-  walk_.searches_skipped_no_fit += walk.searches_skipped_no_fit;
-  walk_.proofs_inconclusive += walk.proofs_inconclusive;
-  walk_.searches_run += walk.searches_run;
-}
-
-void ServerStats::simulation_finished(std::uint64_t transitions,
-                                      std::uint64_t frames) {
-  const MutexLock lock(mutex_);
-  ++simulations_;
-  simulated_transitions_ += transitions;
-  simulated_frames_ += frames;
-}
-
-void ServerStats::floorplan_finished(std::size_t candidates,
-                                     std::size_t vetoed, bool overturned) {
-  const MutexLock lock(mutex_);
-  ++floorplans_;
-  floorplan_candidates_ += candidates;
-  floorplan_vetoes_ += vetoed;
-  if (overturned) ++floorplan_overturns_;
+  ++(run.infeasible.empty() ? completed_ : infeasible_);
+  record_latency(latency_us);
+  if (run.walk) {
+    walk_.devices_skipped_infeasible += run.walk->devices_skipped_infeasible;
+    walk_.searches_skipped_no_fit += run.walk->searches_skipped_no_fit;
+    walk_.proofs_inconclusive += run.walk->proofs_inconclusive;
+    walk_.searches_run += run.walk->searches_run;
+  }
+  if (const std::optional<SearchStats>& s = run.search) {
+    search_units_ += s->units;
+    search_units_pruned_ += s->units_pruned;
+    search_units_pruned_sterile_ += s->units_pruned_sterile;
+    search_move_evaluations_ += s->move_evaluations;
+    search_full_evaluations_ += s->full_evaluations;
+    search_moves_rescored_ += s->moves_rescored;
+    search_kernel_evaluations_ += s->kernel_evaluations;
+    search_signature_collapsed_configs_ += s->signature_collapsed_configs;
+  }
+  if (run.floorplanned != 0) {
+    ++floorplans_;
+    floorplan_candidates_ += run.floorplanned;
+    floorplan_vetoes_ += run.vetoed;
+    if (run.overturned) ++floorplan_overturns_;
+  }
+  if (run.replay) {
+    ++simulations_;
+    simulated_transitions_ += run.replay->transitions;
+    simulated_frames_ += run.replay->frames_loaded;
+  }
 }
 
 void ServerStats::record_latency(std::uint64_t latency_us) {

@@ -11,6 +11,8 @@
 
 namespace prpart::server {
 
+struct JobRun;  // server/job.hpp
+
 /// Exact-count latency histogram with logarithmic buckets: every sample is
 /// counted (no reservoir), and a percentile is an O(buckets) cumulative
 /// scan — no sort, no allocation — so a metrics scrape stays cheap no
@@ -119,7 +121,6 @@ class ServerStats {
  public:
   void job_accepted();
   void job_rejected();
-  void job_completed(std::uint64_t latency_us);
   void job_infeasible(std::uint64_t latency_us);
   void job_timed_out();
   void job_failed();
@@ -127,15 +128,9 @@ class ServerStats {
   void cache_miss();
   /// One interim `queued` backpressure notice was sent to a client.
   void job_queued_notice();
-  /// Folds one executed job's search stats into the cumulative counters.
-  void search_finished(const SearchStats& stats);
-  /// Folds one auto-device job's walk into the cumulative counters.
-  void walk_finished(const WalkStats& walk);
-  /// Folds one simulate job's replay into the cumulative counters.
-  void simulation_finished(std::uint64_t transitions, std::uint64_t frames);
-  /// Folds one veto/re-rank pass into the cumulative counters.
-  void floorplan_finished(std::size_t candidates, std::size_t vetoed,
-                          bool overturned);
+  /// Folds one executed job: completed or infeasible with its latency,
+  /// plus its walk, search, floorplan and replay counters.
+  void job_ran(const JobRun& run, std::uint64_t latency_us);
 
   /// Queue depth and in-flight count are owned by the scheduler; it reports
   /// them at snapshot time.

@@ -274,6 +274,21 @@ TEST_F(CliTest, PartitionThreadsFlagGivesIdenticalOutput) {
   EXPECT_EQ(r4.out, r1.out);
 }
 
+TEST_F(CliTest, SimulateInfeasibleTargetPrintsTheSharedMessage) {
+  // simulate reports an infeasible target with the message partition and
+  // the server use: the lower bound next to the budget it overshoots.
+  const std::string message =
+      "design does not fit the target (lower bound 6369 CLBs, 43 BRAMs, 116 "
+      "DSPs, budget 100 CLBs, 1 BRAMs, 1 DSPs)\n";
+  const CliRun sim = invoke({"simulate", design_path_, "--budget", "100,1,1",
+                             "--steps", "10"});
+  EXPECT_EQ(sim.code, 2);
+  EXPECT_EQ(sim.err, message);
+  const CliRun part =
+      invoke({"partition", design_path_, "--budget", "100,1,1"});
+  EXPECT_EQ(part.err.substr(0, message.size()), message);
+}
+
 TEST_F(CliTest, PartitionInfeasibleBudgetExitCode2) {
   const CliRun r = invoke({"partition", design_path_, "--budget", "100,1,1"});
   EXPECT_EQ(r.code, 2);

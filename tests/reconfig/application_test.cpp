@@ -1,4 +1,4 @@
-#include "reconfig/application.hpp"
+#include "benchlib/application.hpp"
 
 #include <gtest/gtest.h>
 

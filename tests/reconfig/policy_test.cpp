@@ -1,4 +1,4 @@
-#include "reconfig/policy.hpp"
+#include "benchlib/policy.hpp"
 
 #include <gtest/gtest.h>
 

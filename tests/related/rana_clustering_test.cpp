@@ -1,4 +1,4 @@
-#include "related/rana_clustering.hpp"
+#include "benchlib/rana_clustering.hpp"
 
 #include <gtest/gtest.h>
 

@@ -122,6 +122,69 @@ std::string result_payload(const std::string& line, const std::string& id) {
   return line.substr(prefix.size(), line.size() - prefix.size() - 1);
 }
 
+/// One target of the CLI-vs-server byte-identity twins: the CLI flags and
+/// the request fields naming it, on a design every stage (partition,
+/// floorplan, simulate, simulate --floorplan) answers successfully.
+struct TwinTarget {
+  std::string label;
+  Design design;
+  std::vector<std::string> flags;
+  std::string device;
+  std::optional<ResourceVec> budget;
+};
+
+std::vector<TwinTarget> twin_targets() {
+  Rng rng(4);  // `prpart generate --seed 4 --class logic`
+  return {
+      {"budget", synth::wireless_receiver_design(), {"--budget", "6800,64,150"},
+       "", ResourceVec{6800, 64, 150}},
+      {"device", synth::wireless_receiver_design(), {"--device", "XC5VFX95T"},
+       "XC5VFX95T", std::nullopt},
+      // The smallest-device walk (it lands on XC5VFX70T).
+      {"auto", generate_synthetic(rng, CircuitClass::Logic).design, {}, "",
+       std::nullopt},
+  };
+}
+
+/// The request core of a twin: `target`'s design and target at kEvals.
+PartitionRequest twin_request(const TwinTarget& target, const std::string& id) {
+  PartitionRequest req;
+  req.id = id;
+  req.design_xml = design_to_xml(target.design);
+  req.device = target.device;
+  req.budget = target.budget;
+  req.options = default_partitioner_options();
+  req.options.search.max_move_evaluations = kEvals;
+  return req;
+}
+
+/// `prpart <command> <design> <args> <target flags> --evals kEvals --json`
+/// on `target`'s design: its stdout without the trailing newline.
+std::string cli_twin(const TwinTarget& target, const std::string& command,
+                     const std::vector<std::string>& args = {}) {
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  const fs::path dir = fs::temp_directory_path() /
+                       ("prpart_server_test_" + std::to_string(::getpid()) +
+                        "_" + info->name() + "_" + target.label);
+  fs::create_directories(dir);
+  const std::string design_path = (dir / "design.xml").string();
+  {
+    std::ofstream f(design_path);
+    f << design_to_xml(target.design);
+  }
+  std::vector<std::string> argv = {command, design_path};
+  argv.insert(argv.end(), args.begin(), args.end());
+  argv.insert(argv.end(), target.flags.begin(), target.flags.end());
+  argv.insert(argv.end(), {"--evals", std::to_string(kEvals), "--json"});
+  std::ostringstream out, err;
+  EXPECT_EQ(cli::run(argv, out, err), 0) << err.str();
+  fs::remove_all(dir);
+  std::string expected = out.str();
+  EXPECT_FALSE(expected.empty());
+  if (!expected.empty()) expected.pop_back();  // trailing newline
+  return expected;
+}
+
 TEST(ServerTest, BootsPingsAndStops) {
   Server server(quiet_options());
   server.start();
@@ -144,32 +207,15 @@ TEST(ServerTest, StopIsIdempotent) {
 }
 
 TEST(ServerTest, ResponseMatchesOneShotCliByteForByte) {
-  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  const fs::path dir = fs::temp_directory_path() /
-                       ("prpart_server_test_" + std::to_string(::getpid()) +
-                        "_" + info->name());
-  fs::create_directories(dir);
-  const std::string design_path = (dir / "receiver.xml").string();
-  {
-    std::ofstream f(design_path);
-    f << design_to_xml(synth::wireless_receiver_design());
-  }
-  std::ostringstream cli_out, cli_err;
-  const int code = cli::run({"partition", design_path, "--budget",
-                             "6800,64,150", "--evals", std::to_string(kEvals),
-                             "--json"},
-                            cli_out, cli_err);
-  ASSERT_EQ(code, 0) << cli_err.str();
-  std::string expected = cli_out.str();
-  ASSERT_FALSE(expected.empty());
-  expected.pop_back();  // trailing newline
-
   Server server(quiet_options());
   server.start();
-  const std::string line = raw_exchange(
-      server.port(), partition_request_json(receiver_request("cli-twin")));
-  EXPECT_EQ(result_payload(line, "cli-twin"), expected);
-  fs::remove_all(dir);
+  for (const TwinTarget& target : twin_targets()) {
+    SCOPED_TRACE(target.label);
+    const std::string expected = cli_twin(target, "partition");
+    const std::string line = raw_exchange(
+        server.port(), partition_request_json(twin_request(target, "twin")));
+    EXPECT_EQ(result_payload(line, "twin"), expected);
+  }
 }
 
 TEST(ServerTest, AnalyzeRequestIsServedInline) {
@@ -579,32 +625,41 @@ TEST(ServerTest, SimulateJobReturnsLatencies) {
 TEST(ServerTest, SimulateResponseMatchesOneShotCliByteForByte) {
   // The CLI's `simulate --json` and the server's simulate payload share one
   // encoder and one trace construction; the bytes must agree exactly.
-  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  const fs::path dir = fs::temp_directory_path() /
-                       ("prpart_server_test_" + std::to_string(::getpid()) +
-                        "_" + info->name());
-  fs::create_directories(dir);
-  const std::string design_path = (dir / "receiver.xml").string();
-  {
-    std::ofstream f(design_path);
-    f << design_to_xml(synth::wireless_receiver_design());
-  }
-  std::ostringstream cli_out, cli_err;
-  const int code = cli::run({"simulate", design_path, "--budget",
-                             "6800,64,150", "--evals", std::to_string(kEvals),
-                             "--steps", "200", "--seed", "3", "--json"},
-                            cli_out, cli_err);
-  ASSERT_EQ(code, 0) << cli_err.str();
-  std::string expected = cli_out.str();
-  ASSERT_FALSE(expected.empty());
-  expected.pop_back();  // trailing newline
-
   Server server(quiet_options());
   server.start();
-  const std::string line = raw_exchange(
-      server.port(), simulate_request_json(simulate_request("sim-twin")));
-  EXPECT_EQ(result_payload(line, "sim-twin"), expected);
-  fs::remove_all(dir);
+  for (const TwinTarget& target : twin_targets()) {
+    SCOPED_TRACE(target.label);
+    const std::string expected =
+        cli_twin(target, "simulate", {"--steps", "200", "--seed", "3"});
+    SimulateRequest req;
+    req.partition = twin_request(target, "sim-twin");
+    req.params.steps = 200;
+    req.params.seed = 3;
+    const std::string line =
+        raw_exchange(server.port(), simulate_request_json(req));
+    EXPECT_EQ(result_payload(line, "sim-twin"), expected);
+  }
+}
+
+TEST(ServerTest, SimulateWithFloorplanMatchesOneShotCliByteForByte) {
+  // Both replay against the frames of the proposed scheme's rectangles on
+  // the same placement device: the named or walked one, or for a budget
+  // the first library device covering it.
+  Server server(quiet_options());
+  server.start();
+  for (const TwinTarget& target : twin_targets()) {
+    SCOPED_TRACE(target.label);
+    const std::string expected = cli_twin(
+        target, "simulate", {"--steps", "200", "--seed", "3", "--floorplan"});
+    SimulateRequest req;
+    req.partition = twin_request(target, "simfp-twin");
+    req.params.steps = 200;
+    req.params.seed = 3;
+    req.params.floorplan = true;
+    const std::string line =
+        raw_exchange(server.port(), simulate_request_json(req));
+    EXPECT_EQ(result_payload(line, "simfp-twin"), expected);
+  }
 }
 
 TEST(ServerTest, SimulateCacheHitIsByteIdentical) {
@@ -680,32 +735,17 @@ TEST(ServerTest, FloorplanJobReturnsRankingAndWinner) {
 TEST(ServerTest, FloorplanResponseMatchesOneShotCliByteForByte) {
   // `prpart floorplan --json` and the server's floorplan payload share one
   // encoder and one re-rank pass; the bytes must agree exactly.
-  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  const fs::path dir = fs::temp_directory_path() /
-                       ("prpart_server_test_" + std::to_string(::getpid()) +
-                        "_" + info->name());
-  fs::create_directories(dir);
-  const std::string design_path = (dir / "receiver.xml").string();
-  {
-    std::ofstream f(design_path);
-    f << design_to_xml(synth::wireless_receiver_design());
-  }
-  std::ostringstream cli_out, cli_err;
-  const int code = cli::run({"floorplan", design_path, "--budget",
-                             "6800,64,150", "--evals", std::to_string(kEvals),
-                             "--json"},
-                            cli_out, cli_err);
-  ASSERT_EQ(code, 0) << cli_err.str();
-  std::string expected = cli_out.str();
-  ASSERT_FALSE(expected.empty());
-  expected.pop_back();  // trailing newline
-
   Server server(quiet_options());
   server.start();
-  const std::string line = raw_exchange(
-      server.port(), floorplan_request_json(floorplan_request("fp-twin")));
-  EXPECT_EQ(result_payload(line, "fp-twin"), expected);
-  fs::remove_all(dir);
+  for (const TwinTarget& target : twin_targets()) {
+    SCOPED_TRACE(target.label);
+    const std::string expected = cli_twin(target, "floorplan");
+    FloorplanRequest req;
+    req.partition = twin_request(target, "fp-twin");
+    const std::string line =
+        raw_exchange(server.port(), floorplan_request_json(req));
+    EXPECT_EQ(result_payload(line, "fp-twin"), expected);
+  }
 }
 
 TEST(ServerTest, FloorplanCacheHitIsByteIdentical) {
@@ -728,6 +768,27 @@ TEST(ServerTest, FloorplanCacheHitIsByteIdentical) {
       raw_exchange(server.port(), floorplan_request_json(other));
   EXPECT_NE(result_payload(cold, "fpc"), result_payload(retuned, "fpc2"));
   EXPECT_EQ(server.stats_snapshot().floorplans, 2u);
+}
+
+TEST(ServerTest, PlacementWithNoDeviceCoveringTheBudgetIsInfeasible) {
+  // A budget above every library part partitions fine but leaves the
+  // placement stages no device: `infeasible`, worded as the CLI's error.
+  Server server(quiet_options());
+  server.start();
+  Client client("127.0.0.1", server.port());
+  const ResourceVec beyond_library{1'000'000, 10'000, 10'000};
+  FloorplanRequest floorplan = floorplan_request("fp-nodev");
+  floorplan.partition.budget = beyond_library;
+  SimulateRequest simulate = simulate_request("sim-nodev");
+  simulate.partition.budget = beyond_library;
+  simulate.params.floorplan = true;
+  for (const ClientResponse& resp :
+       {client.floorplan(floorplan), client.simulate(simulate)}) {
+    ASSERT_FALSE(resp.ok);
+    EXPECT_EQ(resp.error_code, "infeasible");
+    EXPECT_EQ(resp.error_message, "no library device covers the budget");
+  }
+  EXPECT_EQ(server.stats_snapshot().infeasible, 2u);
 }
 
 TEST(ServerTest, SimulateWithFloorplanReplaysPlacementTrueFrames) {

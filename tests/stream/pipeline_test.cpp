@@ -1,4 +1,4 @@
-#include "stream/pipeline.hpp"
+#include "benchlib/pipeline.hpp"
 
 #include <gtest/gtest.h>
 
