@@ -14,9 +14,9 @@
 namespace prpart::analysis {
 
 /// Target selection for the feasibility checks, mirroring the CLI's
-/// --device/--budget flags: an explicit budget wins, then a named device;
-/// with neither the design is checked against the whole device library
-/// (the paper's device-selection mode).
+/// --device/--budget flags (which exclude each other; given both, the
+/// budget wins). With neither the design is checked against the whole
+/// device library (the paper's device-selection mode).
 struct AnalysisOptions {
   DeviceLibrary library = DeviceLibrary::virtex5();
   std::string device;                 ///< named target; "" = none

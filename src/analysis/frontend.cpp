@@ -1,220 +1,23 @@
 #include "analysis/frontend.hpp"
 
-#include <algorithm>
-#include <cstdint>
-#include <map>
-#include <set>
 #include <utility>
-#include <vector>
-
-#include "util/status.hpp"
-#include "util/strings.hpp"
 
 namespace prpart::analysis {
-
-namespace {
-
-/// Collects every structural problem of the element tree as error
-/// diagnostics. Covers the full set of conditions design_from_element and
-/// Design::validate would throw for, so a clean walk guarantees the strict
-/// construction succeeds.
-void collect_structural(const xml::Element& root,
-                        std::vector<Diagnostic>& out) {
-  auto error = [&](std::string code, std::string message, std::string fixit,
-                   xml::Span span) {
-    out.push_back({Severity::Error, std::move(code), std::move(message),
-                   std::move(fixit), span});
-  };
-
-  auto check_resources = [&](const xml::Element& e, const std::string& what) {
-    for (const char* key : {"clbs", "brams", "dsps"}) {
-      const std::string* v = e.find_attr(key);
-      if (!v) continue;
-      bool ok = true;
-      try {
-        ok = parse_u64(*v) <= UINT32_MAX;
-      } catch (const ParseError&) {
-        ok = false;
-      }
-      if (!ok)
-        error("bad-attribute",
-              what + " has an invalid " + std::string(key) + "=\"" + *v + "\"",
-              "use an unsigned 32-bit resource count", e.span());
-    }
-  };
-
-  if (const xml::Element* s = root.find_child("static"))
-    check_resources(*s, "<static>");
-
-  // Modules and their modes. `modes_of` indexes the first valid occurrence
-  // of each module name so references can be resolved below.
-  std::map<std::string, std::vector<std::string>> modes_of;
-  for (const xml::Element* m : root.children_named("module")) {
-    const std::string* name = m->find_attr("name");
-    if (!name || name->empty()) {
-      error("missing-attribute", "<module> element without a name",
-            "add name=\"...\"", m->span());
-      continue;
-    }
-    if (modes_of.count(*name) != 0) {
-      error("duplicate-module", "duplicate module name '" + *name + "'",
-            "rename or merge the duplicate <module> elements", m->span());
-      continue;
-    }
-    std::vector<std::string>& modes = modes_of[*name];
-    for (const xml::Element* k : m->children_named("mode")) {
-      const std::string* kname = k->find_attr("name");
-      if (!kname || kname->empty()) {
-        error("missing-attribute",
-              "<mode> in module '" + *name + "' without a name",
-              "add name=\"...\"", k->span());
-        continue;
-      }
-      if (std::find(modes.begin(), modes.end(), *kname) != modes.end()) {
-        error("duplicate-mode",
-              "duplicate mode name '" + *kname + "' in module '" + *name + "'",
-              "rename or merge the duplicate <mode> elements", k->span());
-        continue;
-      }
-      check_resources(*k, "mode '" + *kname + "' of module '" + *name + "'");
-      modes.push_back(*kname);
-    }
-    if (m->children_named("mode").empty())
-      error("empty-module", "module '" + *name + "' has no modes",
-            "declare at least one <mode> or delete the module", m->span());
-  }
-  if (root.children_named("module").empty())
-    error("no-modules", "design has no modules",
-          "declare at least one <module>", root.span());
-
-  // Configurations: reference resolution against the module index, plus
-  // duplicate detection on the canonical (module, mode) assignment.
-  const xml::Element* configs = root.find_child("configurations");
-  const std::vector<const xml::Element*> config_elems =
-      configs ? configs->children_named("configuration")
-              : std::vector<const xml::Element*>{};
-  if (config_elems.empty())
-    error("no-configurations", "design has no configurations",
-          "add a <configurations> list with at least one <configuration>",
-          configs ? configs->span() : root.span());
-
-  std::map<std::vector<std::pair<std::string, std::string>>, std::string> seen;
-  for (std::size_t i = 0; i < config_elems.size(); ++i) {
-    const xml::Element* c = config_elems[i];
-    const std::string* cname_attr = c->find_attr("name");
-    const std::string cname = cname_attr && !cname_attr->empty()
-                                  ? *cname_attr
-                                  : "Conf" + std::to_string(i + 1);
-    std::set<std::string> assigned;
-    std::vector<std::pair<std::string, std::string>> uses;
-    bool broken = false;
-    for (const xml::Element* use : c->children_named("use")) {
-      const std::string* mod = use->find_attr("module");
-      const std::string* mode = use->find_attr("mode");
-      if (!mod || mod->empty() || !mode || mode->empty()) {
-        error("missing-attribute",
-              "<use> in configuration '" + cname +
-                  "' needs module=\"...\" and mode=\"...\"",
-              "", use->span());
-        broken = true;
-        continue;
-      }
-      const auto it = modes_of.find(*mod);
-      if (it == modes_of.end()) {
-        error("unknown-module-ref",
-              "configuration '" + cname + "' references unknown module '" +
-                  *mod + "'",
-              "declare the module or fix the reference", use->span());
-        broken = true;
-        continue;
-      }
-      if (std::find(it->second.begin(), it->second.end(), *mode) ==
-          it->second.end()) {
-        error("unknown-mode-ref",
-              "module '" + *mod + "' has no mode '" + *mode +
-                  "' (configuration '" + cname + "')",
-              "declare the mode or fix the reference", use->span());
-        broken = true;
-        continue;
-      }
-      if (!assigned.insert(*mod).second) {
-        error("duplicate-module-use",
-              "configuration '" + cname + "' assigns module '" + *mod +
-                  "' twice",
-              "keep exactly one <use> per module", use->span());
-        broken = true;
-        continue;
-      }
-      uses.emplace_back(*mod, *mode);
-    }
-    if (c->children_named("use").empty())
-      error("empty-configuration",
-            "configuration '" + cname + "' contains no modules",
-            "add at least one <use> or delete the configuration", c->span());
-    if (!broken && !uses.empty()) {
-      std::sort(uses.begin(), uses.end());
-      const auto [it, fresh] = seen.emplace(std::move(uses), cname);
-      if (!fresh)
-        error("duplicate-config",
-              "configuration '" + cname + "' duplicates configuration '" +
-                  it->second + "'",
-              "delete one of the duplicates", c->span());
-    }
-  }
-}
-
-bool any_error(const std::vector<Diagnostic>& diagnostics) {
-  return std::any_of(diagnostics.begin(), diagnostics.end(),
-                     [](const Diagnostic& d) {
-                       return d.severity == Severity::Error;
-                     });
-}
-
-}  // namespace
 
 SourceAnalysis analyze_design_source(const std::string& text,
                                      const AnalysisOptions& options) {
   SourceAnalysis out;
+  DesignRead read = read_design(text);
+  for (DesignProblem& p : read.problems)
+    out.result.diagnostics.push_back({Severity::Error, std::move(p.code),
+                                      std::move(p.message),
+                                      std::move(p.fixit), p.span});
+  if (!read.parsed) return out;
 
-  std::unique_ptr<xml::Element> root;
-  try {
-    root = xml::parse(text);
-  } catch (const ParseError& e) {
-    out.result.diagnostics.push_back({Severity::Error, "xml-error", e.what(),
-                                      "", {e.line(), e.column()}});
-    return out;
-  }
-  if (root->name() != "design") {
-    out.result.diagnostics.push_back(
-        {Severity::Error, "xml-error",
-         "expected <design> root element, got <" + root->name() + ">", "",
-         root->span()});
-    return out;
-  }
-
-  collect_structural(*root, out.result.diagnostics);
-  if (any_error(out.result.diagnostics)) {
-    sort_by_severity(out.result.diagnostics);
-    return out;
-  }
-
-  try {
-    DesignSpans spans;
-    Design design = design_from_element(*root, &spans);
-    out.parsed = ParsedDesign{std::move(design), std::move(spans)};
-  } catch (const Error& e) {
-    // Safety net: anything the tolerant walk missed still surfaces as a
-    // diagnostic rather than an exception.
-    out.result.diagnostics.push_back(
-        {Severity::Error, "xml-error", e.what(), "", root->span()});
-    sort_by_severity(out.result.diagnostics);
-    return out;
-  }
-
+  out.parsed = std::move(read.parsed);
   AnalysisResult semantic =
       analyze_design(out.parsed->design, options, &out.parsed->spans);
-  for (Diagnostic& d : semantic.diagnostics)
-    out.result.diagnostics.push_back(std::move(d));
+  out.result.diagnostics = std::move(semantic.diagnostics);
   out.result.proof = std::move(semantic.proof);
   sort_by_severity(out.result.diagnostics);
   return out;

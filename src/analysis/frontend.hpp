@@ -8,9 +8,9 @@
 
 namespace prpart::analysis {
 
-/// Result of analyzing raw XML text: structural diagnostics plus, when the
-/// document is sound, the constructed design with its source spans and the
-/// semantic findings of analyze_design.
+/// Result of analyzing raw XML text: the reader's problems as error
+/// diagnostics or, when the document is sound, the constructed design with
+/// its source spans and the semantic findings of analyze_design.
 struct SourceAnalysis {
   AnalysisResult result;
   /// Engaged when the document parsed and passed every structural check.
@@ -19,11 +19,11 @@ struct SourceAnalysis {
   bool has_errors() const { return result.has_errors(); }
 };
 
-/// Front end of the analyzer. Unlike design_from_xml — which throws on the
-/// first problem — this walk is tolerant: every XML syntax error, schema
-/// violation, unknown module/mode reference and duplicate is collected as
-/// an error diagnostic with a source span. When the text survives all
-/// structural checks the design is built and the semantic checks run too.
+/// Front end of the analyzer. It runs the same reader as design_from_xml,
+/// which throws the first problem; here every problem the reader finds (XML
+/// syntax, schema, unknown module/mode references, duplicates) becomes an
+/// error diagnostic with a source span, in document order. When the text
+/// has none the semantic checks run on the design too.
 SourceAnalysis analyze_design_source(const std::string& text,
                                      const AnalysisOptions& options = {});
 

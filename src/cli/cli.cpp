@@ -158,9 +158,7 @@ ResourceVec parse_budget(const std::string& spec) {
   const std::vector<std::string> parts = split(spec, ',');
   if (parts.size() != 3)
     throw ParseError("--budget expects CLBS,BRAMS,DSPS, got '" + spec + "'");
-  return {static_cast<std::uint32_t>(parse_u64(parts[0])),
-          static_cast<std::uint32_t>(parse_u64(parts[1])),
-          static_cast<std::uint32_t>(parse_u64(parts[2]))};
+  return {parse_u32(parts[0]), parse_u32(parts[1]), parse_u32(parts[2])};
 }
 
 PartitionerOptions options_from(const Args& args) {
@@ -177,15 +175,31 @@ PartitionerOptions options_from(const Args& args) {
 }
 
 /// The --budget/--device target with the effort flags, as the job engine
-/// reads it. With both flags the budget wins.
+/// reads it. The two flags exclude each other, as on the wire.
 server::PartitionRequest target_from(const Args& args) {
   server::PartitionRequest target;
   target.options = options_from(args);
   if (const auto budget = args.value("budget"))
     target.budget = parse_budget(*budget);
-  else if (const auto device = args.value("device"))
-    target.device = *device;
+  if (const auto device = args.value("device")) target.device = *device;
+  if (!target.device.empty() && target.budget)
+    throw ParseError("--device and --budget are mutually exclusive");
   return target;
+}
+
+/// The design file named by the first positional. A problem in it is
+/// reported at its position, as `analyze` reports it.
+Design read_design_arg(const Args& args) {
+  const std::string& path = args.positionals().at(1);
+  const std::string text = read_file(path);
+  try {
+    return design_from_xml(text);
+  } catch (const ParseError& e) {
+    const xml::Span at{e.line(), e.column()};
+    if (!at.known()) throw;
+    throw ParseError(path + ":" + at.to_string() + ": " + e.what(), at.line,
+                     at.column);
+  }
 }
 
 int cmd_devices(std::ostream& out) {
@@ -206,14 +220,13 @@ int cmd_devices(std::ostream& out) {
 /// conflicting pair is a usage error (exit 1), reported before any
 /// analysis runs.
 analysis::AnalysisOptions analysis_options_from(const Args& args) {
+  const server::PartitionRequest target = target_from(args);
   analysis::AnalysisOptions opt;
-  if (const auto device = args.value("device")) {
-    opt.library.by_name(*device);  // throws DeviceError when unknown
-    opt.device = *device;
+  opt.budget = target.budget;
+  if (!target.device.empty()) {
+    opt.library.by_name(target.device);  // throws DeviceError when unknown
+    opt.device = target.device;
   }
-  if (const auto budget = args.value("budget")) opt.budget = parse_budget(*budget);
-  if (!opt.device.empty() && opt.budget)
-    throw ParseError("--device and --budget are mutually exclusive");
   return opt;
 }
 
@@ -319,7 +332,7 @@ int cmd_partition(const Args& args, std::ostream& out, std::ostream& err) {
   const bool json_out = args.has("json");
   if (json_out && (args.has("floorplan") || args.has("ucf")))
     throw ParseError("--json cannot be combined with --floorplan/--ucf");
-  const Design design = design_from_xml(read_file(args.positionals().at(1)));
+  const Design design = read_design_arg(args);
   const DeviceLibrary lib = DeviceLibrary::extended();
   const server::PartitionRequest target = target_from(args);
   // The server's admission pre-check: a provably hopeless explicit target
@@ -423,7 +436,7 @@ server::FloorplanParams floorplan_params_from(const Args& args) {
 
 int cmd_floorplan(const Args& args, std::ostream& out, std::ostream& err) {
   const bool json_out = args.has("json");
-  const Design design = design_from_xml(read_file(args.positionals().at(1)));
+  const Design design = read_design_arg(args);
   const DeviceLibrary lib = DeviceLibrary::extended();
   const server::FloorplanParams params = floorplan_params_from(args);
   const server::TargetRun t = server::run_target(design, target_from(args), lib);
@@ -508,7 +521,7 @@ int cmd_floorplan(const Args& args, std::ostream& out, std::ostream& err) {
 
 int cmd_simulate(const Args& args, std::ostream& out, std::ostream& err) {
   const bool json_out = args.has("json");
-  const Design design = design_from_xml(read_file(args.positionals().at(1)));
+  const Design design = read_design_arg(args);
   const DeviceLibrary lib = DeviceLibrary::extended();
   const std::size_t n = design.configurations().size();
   if (n < 2) throw ParseError("simulation needs at least two configurations");
@@ -559,6 +572,7 @@ int cmd_simulate(const Args& args, std::ostream& out, std::ostream& err) {
     device_name = t.device_name;
     budget = t.budget;
     schemes.push_back(t.result.proposed.scheme);
+    schemes.back().label = "proposed";  // as the served payload labels it
     evals.push_back(t.result.proposed.eval);
     if (args.has("rank")) {
       // Replay the runners-up too; the output then ranks the candidates by
@@ -678,7 +692,7 @@ int cmd_simulate(const Args& args, std::ostream& out, std::ostream& err) {
 }
 
 int cmd_bitstreams(const Args& args, std::ostream& out, std::ostream& err) {
-  const Design design = design_from_xml(read_file(args.positionals().at(1)));
+  const Design design = read_design_arg(args);
   const DeviceLibrary lib = DeviceLibrary::extended();
   const server::TargetRun t = server::run_target(design, target_from(args), lib);
   if (!t.result.feasible) {
@@ -706,7 +720,7 @@ int cmd_bitstreams(const Args& args, std::ostream& out, std::ostream& err) {
 }
 
 int cmd_flow(const Args& args, std::ostream& out, std::ostream& err) {
-  const Design design = design_from_xml(read_file(args.positionals().at(1)));
+  const Design design = read_design_arg(args);
   const DeviceLibrary lib = DeviceLibrary::extended();
   const PartitionerOptions opt = options_from(args);
 
@@ -745,13 +759,14 @@ int cmd_flow(const Args& args, std::ostream& out, std::ostream& err) {
 }
 
 int cmd_optimal(const Args& args, std::ostream& out, std::ostream& err) {
-  const Design design = design_from_xml(read_file(args.positionals().at(1)));
+  const Design design = read_design_arg(args);
   const DeviceLibrary lib = DeviceLibrary::extended();
+  const server::PartitionRequest target = target_from(args);
   ResourceVec budget;
-  if (const auto b = args.value("budget")) {
-    budget = parse_budget(*b);
-  } else if (const auto device = args.value("device")) {
-    budget = lib.by_name(*device).capacity();
+  if (target.budget) {
+    budget = *target.budget;
+  } else if (!target.device.empty()) {
+    budget = lib.by_name(target.device).capacity();
   } else {
     // The tile-rounded single-region footprint, as the device walk uses:
     // a device below it admits no PR scheme.
@@ -936,14 +951,9 @@ std::string error_json(const server::ClientResponse& resp) {
 }
 
 int cmd_submit(const Args& args, std::ostream& out, std::ostream& err) {
-  server::PartitionRequest req;
+  server::PartitionRequest req = target_from(args);
   req.id = args.value_or("id", "cli");
   req.design_xml = read_file(args.positionals().at(1));
-  if (const auto device = args.value("device")) req.device = *device;
-  if (const auto budget = args.value("budget")) req.budget = parse_budget(*budget);
-  if (!req.device.empty() && req.budget)
-    throw ParseError("--device and --budget are mutually exclusive");
-  req.options = options_from(args);
   req.timeout_ms = args.u64_or("timeout", 0);
 
   server::Client client = connect_client(args);

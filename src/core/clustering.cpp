@@ -136,25 +136,4 @@ std::vector<BasePartition> enumerate_base_partitions(
   return out;
 }
 
-std::vector<BasePartition> enumerate_base_partitions_oracle(
-    const Design& design, const ConnectivityMatrix& matrix) {
-  const std::size_t n = matrix.modes();
-  std::unordered_set<DynBitset, DynBitsetHash> seen;
-  std::vector<BasePartition> out;
-
-  for (std::size_t c = 0; c < matrix.configs(); ++c) {
-    const std::vector<std::size_t> present = matrix.row(c).bits();
-    require(present.size() < 20, "oracle limited to narrow configurations");
-    const std::size_t subsets = std::size_t{1} << present.size();
-    for (std::size_t mask = 1; mask < subsets; ++mask) {
-      DynBitset set(n);
-      for (std::size_t i = 0; i < present.size(); ++i)
-        if (mask & (std::size_t{1} << i)) set.set(present[i]);
-      if (seen.insert(set).second)
-        out.push_back(make_partition(design, matrix, std::move(set)));
-    }
-  }
-  return out;
-}
-
 }  // namespace prpart

@@ -36,10 +36,4 @@ std::vector<BasePartition> enumerate_base_partitions(
     const Design& design, const ConnectivityMatrix& matrix,
     std::size_t max_modes = 0);
 
-/// Brute-force oracle used by the tests: every non-empty subset of every
-/// configuration's mode set, deduplicated, with the same frequency-weight
-/// definition. Exponential in configuration width; test-sized inputs only.
-std::vector<BasePartition> enumerate_base_partitions_oracle(
-    const Design& design, const ConnectivityMatrix& matrix);
-
 }  // namespace prpart

@@ -1,7 +1,5 @@
 #include "design/builder.hpp"
 
-#include "util/status.hpp"
-
 namespace prpart {
 
 DesignBuilder& DesignBuilder::static_base(ResourceVec area) {
@@ -27,31 +25,9 @@ DesignBuilder& DesignBuilder::configuration(
   Configuration c;
   c.name = std::move(config_name);
   c.mode_of_module.assign(modules_.size(), 0);
-  for (const auto& [module_name, mode_name] : choices) {
-    bool found_module = false;
-    for (std::size_t m = 0; m < modules_.size(); ++m) {
-      if (modules_[m].name != module_name) continue;
-      found_module = true;
-      if (c.mode_of_module[m] != 0)
-        throw DesignError("configuration '" + c.name +
-                          "' mentions module '" + module_name + "' twice");
-      bool found_mode = false;
-      for (std::size_t k = 0; k < modules_[m].modes.size(); ++k) {
-        if (modules_[m].modes[k].name == mode_name) {
-          c.mode_of_module[m] = static_cast<std::uint32_t>(k + 1);
-          found_mode = true;
-          break;
-        }
-      }
-      if (!found_mode)
-        throw DesignError("module '" + module_name + "' has no mode '" +
-                          mode_name + "'");
-      break;
-    }
-    if (!found_module)
-      throw DesignError("unknown module '" + module_name +
-                        "' in configuration '" + c.name + "'");
-  }
+  for (const auto& [module_name, mode_name] : choices)
+    if (const auto problem = choose_mode(modules_, c, module_name, mode_name))
+      throw DesignError(problem->message);
   configurations_.push_back(std::move(c));
   return *this;
 }

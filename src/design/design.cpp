@@ -1,11 +1,46 @@
 #include "design/design.hpp"
 
+#include <algorithm>
 #include <set>
+#include <string_view>
 #include <unordered_set>
 
-#include "util/status.hpp"
-
 namespace prpart {
+
+std::optional<DesignProblem> choose_mode(const std::vector<Module>& modules,
+                                         Configuration& config,
+                                         std::string_view module,
+                                         std::string_view mode) {
+  auto error = [&](std::string code, std::string message, std::string fixit) {
+    return DesignProblem{.code = std::move(code),
+                         .message = std::move(message),
+                         .fixit = std::move(fixit),
+                         .span = {}};
+  };
+  const auto m = std::find_if(modules.begin(), modules.end(),
+                              [&](const Module& x) { return x.name == module; });
+  if (m == modules.end())
+    return error("unknown-module-ref",
+                 "configuration '" + config.name +
+                     "' references unknown module '" + std::string(module) + "'",
+                 "declare the module or fix the reference");
+  const auto k = std::find_if(m->modes.begin(), m->modes.end(),
+                              [&](const Mode& x) { return x.name == mode; });
+  if (k == m->modes.end())
+    return error("unknown-mode-ref",
+                 "module '" + m->name + "' has no mode '" + std::string(mode) +
+                     "' (configuration '" + config.name + "')",
+                 "declare the mode or fix the reference");
+  std::uint32_t& chosen =
+      config.mode_of_module[static_cast<std::size_t>(m - modules.begin())];
+  if (chosen != 0)
+    return error("duplicate-module-use",
+                 "configuration '" + config.name + "' assigns module '" +
+                     m->name + "' twice",
+                 "keep exactly one <use> per module");
+  chosen = static_cast<std::uint32_t>(k - m->modes.begin() + 1);
+  return std::nullopt;
+}
 
 Design::Design(std::string name, ResourceVec static_base,
                std::vector<Module> modules,
@@ -14,34 +49,76 @@ Design::Design(std::string name, ResourceVec static_base,
       static_base_(static_base),
       modules_(std::move(modules)),
       configurations_(std::move(configurations)) {
-  validate();
+  check_rules();
   index_modes();
 }
 
-void Design::validate() const {
-  if (modules_.empty()) throw DesignError("design has no modules");
-  if (configurations_.empty())
-    throw DesignError("design has no configurations");
+void Design::check_rules() const {
+  using Element = DesignProblem::Element;
+  std::vector<DesignProblem> problems;
+  auto error = [&](std::string code, std::string message, std::string fixit,
+                   Element element, std::size_t index = 0) {
+    problems.push_back({.code = std::move(code),
+                        .message = std::move(message),
+                        .fixit = std::move(fixit),
+                        .element = element,
+                        .index = index,
+                        .span = {}});
+  };
 
-  std::unordered_set<std::string> module_names;
-  for (const Module& m : modules_) {
-    if (m.name.empty()) throw DesignError("module with empty name");
-    if (!module_names.insert(m.name).second)
-      throw DesignError("duplicate module name '" + m.name + "'");
-    if (m.modes.empty())
-      throw DesignError("module '" + m.name + "' has no modes");
-    std::unordered_set<std::string> mode_names;
-    for (const Mode& mode : m.modes) {
-      if (mode.name.empty())
-        throw DesignError("module '" + m.name + "' has a mode with empty name");
-      if (!mode_names.insert(mode.name).second)
-        throw DesignError("duplicate mode name '" + mode.name +
-                          "' in module '" + m.name + "'");
+  if (modules_.empty())
+    error("no-modules", "design has no modules",
+          "declare at least one <module>", Element::Design);
+  // Nameless and duplicate modules are reported once; their modes are not
+  // checked. `column` tracks the global mode id of each mode.
+  std::unordered_set<std::string_view> module_names;
+  std::size_t column = 0;
+  for (std::size_t m = 0; m < modules_.size(); ++m) {
+    const Module& mod = modules_[m];
+    const std::size_t first_column = column;
+    column += mod.modes.size();
+    if (mod.name.empty()) {
+      error("missing-attribute", "<module> element without a name",
+            "add name=\"...\"", Element::Module, m);
+      continue;
+    }
+    if (!module_names.insert(mod.name).second) {
+      error("duplicate-module", "duplicate module name '" + mod.name + "'",
+            "rename or merge the duplicate <module> elements", Element::Module,
+            m);
+      continue;
+    }
+    if (mod.modes.empty())
+      error("empty-module", "module '" + mod.name + "' has no modes",
+            "declare at least one <mode> or delete the module",
+            Element::Module, m);
+    std::unordered_set<std::string_view> mode_names;
+    for (std::size_t k = 0; k < mod.modes.size(); ++k) {
+      const std::string& mode = mod.modes[k].name;
+      if (mode.empty())
+        error("missing-attribute",
+              "<mode> in module '" + mod.name + "' without a name",
+              "add name=\"...\"", Element::Mode, first_column + k);
+      else if (!mode_names.insert(mode).second)
+        error("duplicate-mode",
+              "duplicate mode name '" + mode + "' in module '" + mod.name +
+                  "'",
+              "rename or merge the duplicate <mode> elements", Element::Mode,
+              first_column + k);
     }
   }
 
-  std::set<std::vector<std::uint32_t>> seen;
-  for (const Configuration& c : configurations_) {
+  if (configurations_.empty())
+    error("no-configurations", "design has no configurations",
+          "add a <configurations> list with at least one <configuration>",
+          Element::ConfigurationList);
+  // Each distinct module -> mode map, keyed to its first configuration.
+  auto by_modes = [](const Configuration* a, const Configuration* b) {
+    return a->mode_of_module < b->mode_of_module;
+  };
+  std::set<const Configuration*, decltype(by_modes)> seen(by_modes);
+  for (std::size_t i = 0; i < configurations_.size(); ++i) {
+    const Configuration& c = configurations_[i];
     if (c.mode_of_module.size() != modules_.size())
       throw DesignError("configuration '" + c.name + "' specifies " +
                         std::to_string(c.mode_of_module.size()) +
@@ -57,12 +134,22 @@ void Design::validate() const {
                           std::to_string(modules_[m].modes.size()) + " modes");
       any = any || mode != 0;
     }
-    if (!any)
-      throw DesignError("configuration '" + c.name + "' contains no modules");
-    if (!seen.insert(c.mode_of_module).second)
-      throw DesignError("configuration '" + c.name +
-                        "' duplicates an earlier configuration");
+    if (!any) {
+      error("empty-configuration",
+            "configuration '" + c.name + "' contains no modules",
+            "add at least one <use> or delete the configuration",
+            Element::Configuration, i);
+      continue;
+    }
+    const auto [first, fresh] = seen.insert(&c);
+    if (!fresh)
+      error("duplicate-config",
+            "configuration '" + c.name + "' duplicates configuration '" +
+                (*first)->name + "'",
+            "delete one of the duplicates", Element::Configuration, i);
   }
+
+  if (!problems.empty()) throw DesignRuleError(std::move(problems));
 }
 
 void Design::index_modes() {

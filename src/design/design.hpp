@@ -1,11 +1,15 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "device/resources.hpp"
 #include "util/bitset.hpp"
+#include "util/status.hpp"
+#include "xml/xml.hpp"
 
 namespace prpart {
 
@@ -39,6 +43,46 @@ struct Configuration {
   std::vector<std::uint32_t> mode_of_module;  // size = number of modules
 };
 
+/// One broken input rule. `code` is the stable diagnostic code catalogued in
+/// docs/diagnostics.md; `element` and `index` name the part of the design
+/// the rule is about, and the XML reader sets `span` to that element's
+/// position in the document (unknown for designs built in code).
+struct DesignProblem {
+  enum class Element { Design, ConfigurationList, Module, Mode, Configuration };
+
+  std::string code;
+  std::string message;
+  std::string fixit;  ///< empty = none
+  Element element = Element::Design;
+  /// Module index, global mode column or configuration index.
+  std::size_t index = 0;
+  xml::Span span;
+};
+
+/// Thrown by Design's constructor: every rule the modules and
+/// configurations break, in element order. what() is the first message.
+class DesignRuleError : public DesignError {
+ public:
+  explicit DesignRuleError(std::vector<DesignProblem> problems)
+      : DesignError(problems.front().message), problems_(std::move(problems)) {}
+
+  const std::vector<DesignProblem>& problems() const { return problems_; }
+
+ private:
+  std::vector<DesignProblem> problems_;
+};
+
+/// Resolves one (module name, mode name) choice of `config` against
+/// `modules` and records it in config.mode_of_module, which must hold one
+/// entry per module. This is the one name lookup behind the XML reader's
+/// <use> elements and DesignBuilder::configuration. On an unknown module or
+/// mode, or a module the configuration already assigns, returns the broken
+/// rule and leaves `config` unchanged.
+std::optional<DesignProblem> choose_mode(const std::vector<Module>& modules,
+                                         Configuration& config,
+                                         std::string_view module,
+                                         std::string_view mode);
+
 /// A complete partial-reconfiguration design description: static logic,
 /// modules with modes, and the set of valid configurations. This is the
 /// designer-facing input of the proposed tool flow (Fig. 2).
@@ -48,6 +92,11 @@ struct Configuration {
 /// then mode order; mode 0 gets no column (§IV-D).
 class Design {
  public:
+  /// Checks every input rule: at least one module and one configuration;
+  /// module and mode names present and unique; no module without modes; no
+  /// configuration without modules and no two alike. Throws DesignRuleError
+  /// listing every broken rule, or DesignError when a configuration's
+  /// mode_of_module does not fit the modules (a caller bug, never input).
   Design(std::string name, ResourceVec static_base, std::vector<Module> modules,
          std::vector<Configuration> configurations);
 
@@ -90,7 +139,7 @@ class Design {
   bool mode_used(std::size_t global_id) const;
 
  private:
-  void validate() const;
+  void check_rules() const;
   void index_modes();
 
   std::string name_;

@@ -1,8 +1,8 @@
 #pragma once
 
-#include <map>
+#include <optional>
 #include <string>
-#include <utility>
+#include <string_view>
 #include <vector>
 
 #include "design/design.hpp"
@@ -11,21 +11,15 @@
 namespace prpart {
 
 /// Source positions of the design elements in the XML document they were
-/// parsed from. Lets the analyzer point every diagnostic at the offending
-/// `<module>`/`<mode>`/`<configuration>` in the input file. Positions are
-/// unknown (line 0) for designs built programmatically.
+/// read from, by index. Lets the analyzer point every diagnostic at the
+/// offending `<module>`/`<mode>`/`<configuration>` in the input file.
 struct DesignSpans {
   xml::Span root;
-  /// Span of each <module> element, by module name.
-  std::map<std::string, xml::Span> modules;
-  /// Span of each <mode> element, by (module name, mode name).
-  std::map<std::pair<std::string, std::string>, xml::Span> modes;
-  /// Span of each <configuration> element, in declaration order.
-  std::vector<xml::Span> configurations;
-
-  xml::Span module_span(const std::string& module) const;
-  xml::Span mode_span(const std::string& module, const std::string& mode) const;
-  xml::Span configuration_span(std::size_t index) const;
+  /// The <configurations> list, or the root when the list is missing.
+  xml::Span configuration_list;
+  std::vector<xml::Span> modules;         ///< by module index
+  std::vector<xml::Span> modes;           ///< by global mode id
+  std::vector<xml::Span> configurations;  ///< by configuration index
 };
 
 /// A design together with the source spans of its elements.
@@ -34,7 +28,15 @@ struct ParsedDesign {
   DesignSpans spans;
 };
 
-/// Reads a design from the XML input format of the proposed tool flow
+/// What the reader makes of one document: the design and its spans when
+/// the document keeps every input rule, else every rule it breaks, each
+/// with the span of its element, in document order.
+struct DesignRead {
+  std::optional<ParsedDesign> parsed;
+  std::vector<DesignProblem> problems;
+};
+
+/// The one reader of the XML input format of the proposed tool flow
 /// (Fig. 2: "design files ... a list of valid configurations ... in XML
 /// format"):
 ///
@@ -51,20 +53,16 @@ struct ParsedDesign {
 ///     </configurations>
 ///   </design>
 ///
-/// Modules omitted from a <configuration> are absent (mode 0). Resource
-/// attributes default to 0 when missing.
+/// Modules omitted from a <configuration> are absent (mode 0); an unnamed
+/// configuration is named "Conf<n>" by position. Resource attributes default
+/// to 0 when missing and must be 32-bit counts. The reader checks the
+/// document's own rules (well-formed XML, a <design> root, resource counts,
+/// <use> references) and leaves the object rules to Design's constructor.
+DesignRead read_design(std::string_view text);
+
+/// read_design for callers that want the design or nothing: throws
+/// ParseError carrying the first problem's message, line and column.
 Design design_from_xml(const std::string& text);
-
-/// Like design_from_xml, but also returns the source span of every module,
-/// mode and configuration element.
-ParsedDesign design_from_xml_with_spans(const std::string& text);
-
-/// Builds a design from an already-parsed element tree, recording element
-/// spans into `spans` when non-null. Throws ParseError on the first schema
-/// problem (strict; the analysis front end does its own tolerant walk over
-/// the same tree before calling this).
-Design design_from_element(const xml::Element& root,
-                           DesignSpans* spans = nullptr);
 
 /// Serialises a design back to the same format; round-trips exactly.
 std::string design_to_xml(const Design& design);

@@ -98,118 +98,93 @@ std::string StatsSnapshot::log_line() const {
 
 void ServerStats::job_accepted() {
   const MutexLock lock(mutex_);
-  ++accepted_;
+  ++counters_.accepted;
 }
 
 void ServerStats::job_rejected() {
   const MutexLock lock(mutex_);
-  ++rejected_;
+  ++counters_.rejected;
 }
 
 void ServerStats::job_infeasible(std::uint64_t latency_us) {
   const MutexLock lock(mutex_);
-  ++infeasible_;
+  ++counters_.infeasible;
   record_latency(latency_us);
 }
 
 void ServerStats::job_timed_out() {
   const MutexLock lock(mutex_);
-  ++timed_out_;
+  ++counters_.timed_out;
 }
 
 void ServerStats::job_failed() {
   const MutexLock lock(mutex_);
-  ++failed_;
+  ++counters_.failed;
 }
 
 void ServerStats::cache_hit(std::uint64_t latency_us) {
   const MutexLock lock(mutex_);
-  ++cache_hits_;
+  ++counters_.cache_hits;
   record_latency(latency_us);
 }
 
 void ServerStats::cache_miss() {
   const MutexLock lock(mutex_);
-  ++cache_misses_;
+  ++counters_.cache_misses;
 }
 
 void ServerStats::job_queued_notice() {
   const MutexLock lock(mutex_);
-  ++queued_notices_;
+  ++counters_.queued_notices;
 }
 
 void ServerStats::job_ran(const JobRun& run, std::uint64_t latency_us) {
   const MutexLock lock(mutex_);
-  ++(run.infeasible.empty() ? completed_ : infeasible_);
+  StatsSnapshot& c = counters_;
+  ++(run.infeasible.empty() ? c.completed : c.infeasible);
   record_latency(latency_us);
   if (run.walk) {
-    walk_.devices_skipped_infeasible += run.walk->devices_skipped_infeasible;
-    walk_.searches_skipped_no_fit += run.walk->searches_skipped_no_fit;
-    walk_.proofs_inconclusive += run.walk->proofs_inconclusive;
-    walk_.searches_run += run.walk->searches_run;
+    c.walk.devices_skipped_infeasible += run.walk->devices_skipped_infeasible;
+    c.walk.searches_skipped_no_fit += run.walk->searches_skipped_no_fit;
+    c.walk.proofs_inconclusive += run.walk->proofs_inconclusive;
+    c.walk.searches_run += run.walk->searches_run;
   }
   if (const std::optional<SearchStats>& s = run.search) {
-    search_units_ += s->units;
-    search_units_pruned_ += s->units_pruned;
-    search_units_pruned_sterile_ += s->units_pruned_sterile;
-    search_move_evaluations_ += s->move_evaluations;
-    search_full_evaluations_ += s->full_evaluations;
-    search_moves_rescored_ += s->moves_rescored;
-    search_kernel_evaluations_ += s->kernel_evaluations;
-    search_signature_collapsed_configs_ += s->signature_collapsed_configs;
+    c.search_units += s->units;
+    c.search_units_pruned += s->units_pruned;
+    c.search_units_pruned_sterile += s->units_pruned_sterile;
+    c.search_move_evaluations += s->move_evaluations;
+    c.search_full_evaluations += s->full_evaluations;
+    c.search_moves_rescored += s->moves_rescored;
+    c.search_kernel_evaluations += s->kernel_evaluations;
+    c.search_signature_collapsed_configs += s->signature_collapsed_configs;
   }
   if (run.floorplanned != 0) {
-    ++floorplans_;
-    floorplan_candidates_ += run.floorplanned;
-    floorplan_vetoes_ += run.vetoed;
-    if (run.overturned) ++floorplan_overturns_;
+    ++c.floorplans;
+    c.floorplan_candidates += run.floorplanned;
+    c.floorplan_vetoes += run.vetoed;
+    if (run.overturned) ++c.floorplan_overturns;
   }
   if (run.replay) {
-    ++simulations_;
-    simulated_transitions_ += run.replay->transitions;
-    simulated_frames_ += run.replay->frames_loaded;
+    ++c.simulations;
+    c.simulated_transitions += run.replay->transitions;
+    c.simulated_frames += run.replay->frames_loaded;
   }
 }
 
 void ServerStats::record_latency(std::uint64_t latency_us) {
-  ++latency_count_;
+  ++counters_.latency_count;
   latencies_.record(latency_us);
 }
 
 StatsSnapshot ServerStats::snapshot(std::size_t queue_depth,
                                     std::size_t in_flight) const {
   const MutexLock lock(mutex_);
-  StatsSnapshot s;
-  s.accepted = accepted_;
-  s.rejected = rejected_;
-  s.completed = completed_;
-  s.infeasible = infeasible_;
-  s.timed_out = timed_out_;
-  s.failed = failed_;
-  s.cache_hits = cache_hits_;
-  s.cache_misses = cache_misses_;
-  s.queued_notices = queued_notices_;
+  StatsSnapshot s = counters_;
   s.queue_depth = queue_depth;
   s.in_flight = in_flight;
-  s.latency_count = latency_count_;
   s.p50_latency_us = latencies_.percentile(0.50);
   s.p99_latency_us = latencies_.percentile(0.99);
-  s.search_units = search_units_;
-  s.search_units_pruned = search_units_pruned_;
-  s.search_units_pruned_sterile = search_units_pruned_sterile_;
-  s.search_move_evaluations = search_move_evaluations_;
-  s.search_full_evaluations = search_full_evaluations_;
-  s.search_moves_rescored = search_moves_rescored_;
-  s.search_kernel_evaluations = search_kernel_evaluations_;
-  s.search_signature_collapsed_configs = search_signature_collapsed_configs_;
-  s.simulations = simulations_;
-  s.simulated_transitions = simulated_transitions_;
-  s.simulated_frames = simulated_frames_;
-  s.floorplans = floorplans_;
-  s.floorplan_candidates = floorplan_candidates_;
-  s.floorplan_vetoes = floorplan_vetoes_;
-  s.floorplan_overturns = floorplan_overturns_;
-  s.walk = walk_;
   return s;
 }
 

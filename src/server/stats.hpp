@@ -143,33 +143,9 @@ class ServerStats {
   /// with no scheduler lock held, so stats can never extend — or deadlock
   /// against — the admission/dequeue critical sections.
   mutable Mutex mutex_{lock_order::Level::kServerStats, "server.stats"};
-  std::uint64_t accepted_ PRPART_GUARDED_BY(mutex_) = 0;
-  std::uint64_t rejected_ PRPART_GUARDED_BY(mutex_) = 0;
-  std::uint64_t completed_ PRPART_GUARDED_BY(mutex_) = 0;
-  std::uint64_t infeasible_ PRPART_GUARDED_BY(mutex_) = 0;
-  std::uint64_t timed_out_ PRPART_GUARDED_BY(mutex_) = 0;
-  std::uint64_t failed_ PRPART_GUARDED_BY(mutex_) = 0;
-  std::uint64_t cache_hits_ PRPART_GUARDED_BY(mutex_) = 0;
-  std::uint64_t cache_misses_ PRPART_GUARDED_BY(mutex_) = 0;
-  std::uint64_t queued_notices_ PRPART_GUARDED_BY(mutex_) = 0;
-  std::uint64_t latency_count_ PRPART_GUARDED_BY(mutex_) = 0;
-  std::uint64_t search_units_ PRPART_GUARDED_BY(mutex_) = 0;
-  std::uint64_t search_units_pruned_ PRPART_GUARDED_BY(mutex_) = 0;
-  std::uint64_t search_units_pruned_sterile_ PRPART_GUARDED_BY(mutex_) = 0;
-  std::uint64_t search_move_evaluations_ PRPART_GUARDED_BY(mutex_) = 0;
-  std::uint64_t search_full_evaluations_ PRPART_GUARDED_BY(mutex_) = 0;
-  std::uint64_t search_moves_rescored_ PRPART_GUARDED_BY(mutex_) = 0;
-  std::uint64_t search_kernel_evaluations_ PRPART_GUARDED_BY(mutex_) = 0;
-  std::uint64_t search_signature_collapsed_configs_ PRPART_GUARDED_BY(mutex_) =
-      0;
-  std::uint64_t simulations_ PRPART_GUARDED_BY(mutex_) = 0;
-  std::uint64_t simulated_transitions_ PRPART_GUARDED_BY(mutex_) = 0;
-  std::uint64_t simulated_frames_ PRPART_GUARDED_BY(mutex_) = 0;
-  std::uint64_t floorplans_ PRPART_GUARDED_BY(mutex_) = 0;
-  std::uint64_t floorplan_candidates_ PRPART_GUARDED_BY(mutex_) = 0;
-  std::uint64_t floorplan_vetoes_ PRPART_GUARDED_BY(mutex_) = 0;
-  std::uint64_t floorplan_overturns_ PRPART_GUARDED_BY(mutex_) = 0;
-  WalkStats walk_ PRPART_GUARDED_BY(mutex_);
+  /// The cumulative counters; the scheduler-owned depths and the latency
+  /// percentiles are filled in at snapshot time.
+  StatsSnapshot counters_ PRPART_GUARDED_BY(mutex_);
   LatencyHistogram latencies_ PRPART_GUARDED_BY(mutex_);
 };
 

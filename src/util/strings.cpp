@@ -43,6 +43,13 @@ std::uint64_t parse_u64(std::string_view s) {
   return value;
 }
 
+std::uint32_t parse_u32(std::string_view s) {
+  const std::uint64_t value = parse_u64(s);
+  if (value > UINT32_MAX)
+    throw ParseError("expected a 32-bit count, got '" + std::string(s) + "'");
+  return static_cast<std::uint32_t>(value);
+}
+
 std::string with_commas(std::uint64_t v) {
   std::string digits = std::to_string(v);
   std::string out;

@@ -19,6 +19,11 @@ bool starts_with(std::string_view s, std::string_view prefix);
 /// Parses a non-negative integer; throws ParseError on anything else.
 std::uint64_t parse_u64(std::string_view s);
 
+/// Parses a 32-bit count (a resource amount): a non-negative integer no
+/// larger than 4,294,967,295. Throws ParseError on anything else; a larger
+/// value is an error, never wrapped.
+std::uint32_t parse_u32(std::string_view s);
+
 /// Formats `v` with thousands separators ("1,234,567"), for report tables.
 std::string with_commas(std::uint64_t v);
 

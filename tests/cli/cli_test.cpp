@@ -239,6 +239,46 @@ TEST_F(CliTest, AnalyzeWithoutDesignFails) {
   EXPECT_NE(r.err.find("expects a design file"), std::string::npos);
 }
 
+TEST_F(CliTest, TargetCommandsRejectDeviceWithBudget) {
+  // As `analyze`, `submit` and the wire do: one target, never a silent pick.
+  for (const char* command : {"partition", "floorplan", "simulate",
+                              "bitstreams"}) {
+    SCOPED_TRACE(command);
+    const CliRun r = invoke({command, design_path_, "--device", "XC5VFX70T",
+                             "--budget", "6800,64,150"});
+    EXPECT_EQ(r.code, 1);
+    EXPECT_NE(r.err.find("mutually exclusive"), std::string::npos) << r.err;
+  }
+}
+
+TEST_F(CliTest, BudgetComponentBeyond32BitsIsRejected) {
+  // 4294967396 is 2^32 + 100; narrowing it would partition against 100 CLBs.
+  const CliRun r =
+      invoke({"partition", design_path_, "--budget", "4294967396,100,100"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("'4294967396'"), std::string::npos) << r.err;
+}
+
+TEST_F(CliTest, PartitionRejectsResourceCountBeyond32Bits) {
+  const std::string wide = (dir_ / "wide.xml").string();
+  {
+    std::ofstream f(wide);
+    f << "<design name=\"t\">\n"
+         "  <module name=\"A\">\n"
+         "    <mode name=\"M1\" clbs=\"4294967396\"/>\n"
+         "  </module>\n"
+         "  <configurations>\n"
+         "    <configuration><use module=\"A\" mode=\"M1\"/></configuration>\n"
+         "  </configurations>\n"
+         "</design>\n";
+  }
+  const CliRun r = invoke({"partition", wide});
+  EXPECT_EQ(r.code, 1);
+  // The error names the file and the <mode> element's line, as `analyze`.
+  EXPECT_NE(r.err.find(wide + ":3:5: "), std::string::npos) << r.err;
+  EXPECT_NE(r.err.find("clbs=\"4294967396\""), std::string::npos) << r.err;
+}
+
 TEST_F(CliTest, PartitionWithBudget) {
   const CliRun r = invoke({"partition", design_path_, "--budget",
                            "6800,64,150", "--evals", "500000"});

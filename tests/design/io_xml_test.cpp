@@ -121,6 +121,27 @@ TEST(DesignXml, RejectsDoubleAssignment) {
   EXPECT_THROW(design_from_xml(doc), ParseError);
 }
 
+TEST(DesignXml, RejectsResourceCountBeyond32BitsAtItsElement) {
+  // 4294967396 = 2^32 + 100 must not be read as 100 CLBs.
+  const char* doc = R"(<design>
+    <module name="A">
+      <mode name="A1" clbs="4294967396"/>
+    </module>
+    <configurations>
+      <configuration><use module="A" mode="A1"/></configuration>
+    </configurations>
+  </design>)";
+  try {
+    design_from_xml(doc);
+    FAIL() << "a resource count beyond 32 bits was accepted";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.line(), 3u);
+    EXPECT_EQ(e.column(), 7u);
+    EXPECT_STREQ(e.what(),
+                 "mode 'A1' of module 'A' has an invalid clbs=\"4294967396\"");
+  }
+}
+
 TEST(DesignXml, MissingConfigurationsRejected) {
   EXPECT_THROW(
       design_from_xml(

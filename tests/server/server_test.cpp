@@ -497,6 +497,24 @@ TEST(ServerTest, BadRequestsGetTypedErrors) {
   EXPECT_TRUE(client.ping().ok);
 }
 
+TEST(ServerTest, ResourceCountBeyond32BitsIsABadRequest) {
+  // 4294967396 is 2^32 + 100: a reader that narrowed it would partition a
+  // 100-CLB mode instead of refusing the design.
+  Server server(quiet_options());
+  server.start();
+  Client client("127.0.0.1", server.port());
+  PartitionRequest req = small_request("wide");
+  const std::string clbs = "clbs=\"120\"";
+  const std::size_t at = req.design_xml.find(clbs);
+  ASSERT_NE(at, std::string::npos);
+  req.design_xml.replace(at, clbs.size(), "clbs=\"4294967396\"");
+  const ClientResponse resp = client.submit(req);
+  ASSERT_FALSE(resp.ok);
+  EXPECT_EQ(resp.error_code, "bad_request");
+  EXPECT_NE(resp.error_message.find("clbs=\"4294967396\""), std::string::npos)
+      << resp.error_message;
+}
+
 TEST(ServerTest, DrainCompletesAdmittedJobs) {
   ServerOptions opt = quiet_options();
   opt.workers = 2;
@@ -624,10 +642,15 @@ TEST(ServerTest, SimulateJobReturnsLatencies) {
 
 TEST(ServerTest, SimulateResponseMatchesOneShotCliByteForByte) {
   // The CLI's `simulate --json` and the server's simulate payload share one
-  // encoder and one trace construction; the bytes must agree exactly.
+  // encoder and one trace construction; the bytes must agree exactly. The
+  // extra target's search falls back to the single-region scheme, whose
+  // row both label `proposed`.
   Server server(quiet_options());
   server.start();
-  for (const TwinTarget& target : twin_targets()) {
+  std::vector<TwinTarget> targets = twin_targets();
+  targets.push_back({"fallback", synth::wireless_receiver_design(),
+                     {"--device", "XC5VFX70T"}, "XC5VFX70T", std::nullopt});
+  for (const TwinTarget& target : targets) {
     SCOPED_TRACE(target.label);
     const std::string expected =
         cli_twin(target, "simulate", {"--steps", "200", "--seed", "3"});

@@ -5,6 +5,7 @@
 
 #include "design/io_xml.hpp"
 #include "synth/ip_library.hpp"
+#include "tests/xml/mutate.hpp"
 #include "util/rng.hpp"
 #include "util/status.hpp"
 #include "xml/xml.hpp"
@@ -18,34 +19,12 @@ std::string base_document() {
   return design_to_xml(synth::wireless_receiver_design());
 }
 
-std::string mutate(Rng& rng, std::string doc, int edits) {
-  for (int e = 0; e < edits; ++e) {
-    if (doc.empty()) break;
-    const std::size_t pos = rng.below(doc.size());
-    switch (rng.below(4)) {
-      case 0:  // flip to a random printable byte
-        doc[pos] = static_cast<char>(32 + rng.below(95));
-        break;
-      case 1:  // delete a byte
-        doc.erase(pos, 1);
-        break;
-      case 2:  // duplicate a byte
-        doc.insert(pos, 1, doc[pos]);
-        break;
-      case 3:  // truncate
-        doc.resize(pos);
-        break;
-    }
-  }
-  return doc;
-}
-
 TEST_P(XmlFuzz, MutatedDocumentsParseOrThrowCleanly) {
   Rng rng(GetParam());
   const std::string base = base_document();
   for (int round = 0; round < 50; ++round) {
     const int edits = 1 + static_cast<int>(rng.below(8));
-    const std::string doc = mutate(rng, base, edits);
+    const std::string doc = prpart::testing::mutate_bytes(rng, base, edits);
     try {
       const auto root = parse(doc);
       // Parsed XML may still violate the design schema.

@@ -7,8 +7,9 @@ Usage:
 Three families of drift this linter makes impossible to land silently:
 
   1. Diagnostics: every diagnostic code constructed in src/analysis,
-     src/sim or src/floorplan must be catalogued in docs/diagnostics.md
-     *and* exercised by at least one test under tests/.
+     src/design (the reader's structural codes), src/sim or src/floorplan
+     must be catalogued in docs/diagnostics.md *and* exercised by at least
+     one test under tests/.
   2. Stats counters: every key the serving protocol emits -- the stats
      snapshot in src/server/stats.cpp and the per-job stats blocks in
      src/server/protocol.cpp -- must appear in docs/protocol.md.
@@ -38,7 +39,7 @@ DIAG_PATTERNS = (
     re.compile(r'\berror\(\s*"([a-z][a-z0-9-]*)"'),
     re.compile(r'\.code\s*=\s*"([a-z][a-z0-9-]*)"'),
 )
-DIAG_DIRS = ("src/analysis", "src/sim", "src/floorplan")
+DIAG_DIRS = ("src/analysis", "src/design", "src/sim", "src/floorplan")
 
 STATS_SOURCES = ("src/server/stats.cpp", "src/server/protocol.cpp")
 SET_KEY = re.compile(r'\.set\("([a-z][a-z0-9_]*)"')
