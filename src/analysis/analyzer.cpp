@@ -89,18 +89,22 @@ std::size_t AnalysisResult::count(Severity s) const {
   return n;
 }
 
+ResourceVec fabric_lower_bound(const Design& design) {
+  return tiles_for(design.largest_configuration_area()).resources() +
+         design.static_base();
+}
+
 std::optional<InfeasibilityProof> prove_infeasible(const Design& design,
                                                    const ResourceVec& budget,
                                                    const DeviceLibrary& library,
                                                    const std::string& target) {
   // The single-region bound of §IV-C: exactly the feasibility check the
   // allocation search applies (evaluate_scheme on single_region_scheme).
-  const ResourceVec raw = design.largest_configuration_area();
-  const ResourceVec bound = tiles_for(raw).resources() + design.static_base();
+  const ResourceVec bound = fabric_lower_bound(design);
   if (bound.fits_in(budget)) return std::nullopt;
 
   InfeasibilityProof proof;
-  proof.raw_lower_bound = raw;
+  proof.raw_lower_bound = design.largest_configuration_area();
   proof.lower_bound = bound;
   proof.target = target;
   proof.capacity = budget;

@@ -740,8 +740,11 @@ int cmd_flow(const Args& args, std::ostream& out, std::ostream& err) {
   out << "placement winner: scheme " << r.winner_source + 1
       << " of the Eq. 10 ranking\n";
   print_floorplan(out, *r.device, r.floorplan, r.partitioning.proposed.eval);
-  out << "bitstreams: " << r.bitstreams.size() << " ("
-      << with_commas(total_bytes(r.bitstreams)) << " bytes)\n";
+  const std::vector<Bitstream> bitstreams = generate_bitstreams(
+      design, r.partitioning.base_partitions, r.partitioning.proposed.scheme,
+      r.partitioning.proposed.eval);
+  out << "bitstreams: " << bitstreams.size() << " ("
+      << with_commas(total_bytes(bitstreams)) << " bytes)\n";
 
   if (const auto dir = args.value("out")) {
     std::filesystem::create_directories(*dir);
@@ -751,8 +754,8 @@ int cmd_flow(const Args& args, std::ostream& out, std::ostream& err) {
       if (!f) throw ParseError("cannot write UCF into '" + *dir + "'");
       f << r.ucf;
     }
-    write_bitstreams(base, r.bitstreams);
-    out << "wrote design.ucf and " << r.bitstreams.size()
+    write_bitstreams(base, bitstreams);
+    out << "wrote design.ucf and " << bitstreams.size()
         << " .bit files to " << *dir << "\n";
   }
   return 0;

@@ -38,8 +38,6 @@ FlowResult run_flow(const Design& design, const Device& device,
       result.success = true;
       result.winner_source = front.source_index;
       result.ucf = to_ucf(device, front.plan.placements);
-      result.bitstreams = generate_bitstreams(
-          design, partitioning.base_partitions, front.scheme, front.eval);
       partitioning.proposed.scheme = std::move(front.scheme);
       partitioning.proposed.eval = std::move(front.eval);
       result.partitioning = std::move(partitioning);

@@ -1,31 +1,28 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
-#include "bitstream/bitstream.hpp"
 #include "core/partitioner.hpp"
 #include "floorplan/placement.hpp"
 
 namespace prpart {
 
-/// Everything the tool flow of Fig. 2 produces for one design on one
-/// device: the partitioning, the floorplan with UCF constraints, and the
-/// partial bitstream set ready for external memory.
+/// What the tool flow of Fig. 2 decides for one design on one device: the
+/// partitioning and the floorplan with UCF constraints. The partial
+/// bitstreams (step 7) follow from the winner by generate_bitstreams.
 struct FlowResult {
   bool success = false;
   std::string failure_reason;
   const Device* device = nullptr;
   /// The partitioning of the last iteration that reached the floorplan
   /// stage. On success `proposed` holds the placement ladder's winner: its
-  /// scheme and its placement-true evaluation, from which the bitstreams
-  /// were generated.
+  /// scheme and its placement-true evaluation, from which its bitstreams
+  /// are generated.
   PartitionerResult partitioning;
   /// The winner's floorplan; on failure, the vetoed floorplan of that
   /// iteration's Eq. 10 winner.
   PlacedFloorplan floorplan;
   std::string ucf;
-  std::vector<Bitstream> bitstreams;
   /// 1 = floorplanned on the first try; >1 = feedback iterations used.
   std::size_t iterations = 0;
   /// The winner's position in the search's ranking (0 = the Eq. 10 winner),
@@ -35,7 +32,7 @@ struct FlowResult {
 
 /// Runs the whole flow on a fixed device: partition (steps 1-4), floorplan
 /// the top-K schemes through the placement ladder (floorplan_rerank, step
-/// 5), constraints (step 6), bitstreams (step 7). When the ladder vetoes
+/// 5) and constraints (step 6). When the ladder vetoes
 /// every scheme, the budget shrinks by 10% and the design is re-partitioned
 /// (the paper's §VI feedback), at most 6 times. `options.search.threads`
 /// scales the search inside every iteration without changing its answer.

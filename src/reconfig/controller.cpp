@@ -84,6 +84,22 @@ void ReconfigurationController::prefetch_for_prediction() {
   }
 }
 
+ControllerState ReconfigurationController::snapshot() const {
+  require(booted_, "controller not booted");
+  return ControllerState{loaded_, speculative_, current_};
+}
+
+void ReconfigurationController::restore(const ControllerState& state) {
+  require(booted_, "controller not booted");
+  require(state.loaded.size() == loaded_.size() &&
+              state.speculative.size() == speculative_.size() &&
+              state.current < nconf_,
+          "controller state does not match the scheme");
+  loaded_ = state.loaded;
+  speculative_ = state.speculative;
+  current_ = state.current;
+}
+
 std::uint64_t ReconfigurationController::peek_frames(
     std::size_t config) const {
   require(booted_, "controller not booted");

@@ -38,6 +38,18 @@ struct RuntimeStats {
   std::uint64_t wasted_prefetches = 0;  ///< overwritten before being used
 };
 
+/// Everything a transition reads of a controller besides its tables: what
+/// each region holds, whether that came from a prefetch not yet used, and
+/// the current configuration. Two controllers of one design and scheme in
+/// equal states do the same work on every later transition.
+struct ControllerState {
+  std::vector<int> loaded;  ///< member per region, -1 for blank
+  std::vector<char> speculative;
+  std::size_t current = 0;
+
+  bool operator==(const ControllerState&) const = default;
+};
+
 /// Configuration prefetching (the technique of the paper's related work
 /// [4], adapted to the adaptive-systems setting): while the system sits in
 /// configuration c, regions that c does not use are idle and may be
@@ -105,6 +117,13 @@ class ReconfigurationController {
   /// Zeroes the statistics without touching region contents; used to
   /// measure steady-state (warm) costs after a warm-up walk.
   void reset_stats() { stats_ = {}; }
+
+  /// The booted controller's region contents and configuration.
+  ControllerState snapshot() const;
+
+  /// Puts the booted controller back into `state`, a snapshot of a
+  /// controller of the same design and scheme. Statistics are untouched.
+  void restore(const ControllerState& state);
 
  private:
   static constexpr int kEmpty = -1;

@@ -1,5 +1,6 @@
 #include "reconfig/markov.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/status.hpp"
@@ -79,6 +80,96 @@ std::size_t MarkovChain::next_state(std::size_t from, double u) const {
   std::size_t j = row.size() - 1;
   while (row[j] == 0.0) --j;
   return j;
+}
+
+const std::vector<double>& MarkovChain::row(std::size_t from) const {
+  require(from < p_.size(), "state out of range");
+  return p_[from];
+}
+
+ThresholdSampler::ThresholdSampler(const MarkovChain& chain,
+                                   std::uint64_t draws)
+    : chain_(chain), n_(chain.states()), tabulated_(n_, 0) {
+  tabulates_ = draws / n_ / n_ >= kDrawsPerTableEntry;
+}
+
+std::size_t ThresholdSampler::pick(std::size_t from, std::uint64_t k) {
+  if (!tabulates_)
+    return chain_.next_state(from, static_cast<double>(k) * 0x1.0p-53);
+  // The thresholds do not decrease, so the count is a branch-free binary
+  // search: `base` passes thresholds known to be <= k.
+  const std::uint64_t* const t = thresholds(from).data();
+  const std::uint64_t* base = t;
+  for (std::size_t n = n_; n > 1; n -= n / 2)
+    base = base[n / 2] <= k ? base + n / 2 : base;
+  return static_cast<std::size_t>(base - t) + (*base <= k);
+}
+
+std::span<const std::uint64_t> ThresholdSampler::thresholds(
+    std::size_t from) {
+  require(from < n_, "state out of range");
+  if (!tabulated_[from]) tabulate(from);
+  return {thresholds_.data() + from * n_, n_};
+}
+
+void ThresholdSampler::tabulate(std::size_t from) {
+  if (thresholds_.empty()) thresholds_.resize(n_ * n_);
+  const std::vector<double>& row = chain_.row(from);
+  std::uint64_t* out = thresholds_.data() + from * n_;
+  // Whether draw k keeps a non-negative remainder after next_state's
+  // first j + 1 subtractions, i.e. is not yet placed in states 0..j.
+  const auto survives = [&](std::size_t j, std::uint64_t k) {
+    double u = static_cast<double>(k) * 0x1.0p-53;
+    for (std::size_t i = 0; i <= j; ++i) u -= row[i];
+    return !(u < 0.0);
+  };
+  std::size_t last = n_ - 1;  // the row sums to ~1: some entry is positive
+  while (row[last] == 0.0) --last;
+  std::uint64_t below = 0;  // every draw under K_{j-1} already stopped
+  double prefix = 0.0;
+  for (std::size_t j = 0; j < last; ++j) {
+    if (row[j] == 0.0) {  // subtracting 0 changes no remainder
+      out[j] = below;
+      continue;
+    }
+    // K_j is the least k in [lo, hi] that survives; hi = 2^53 survives by
+    // definition. The rounded prefix sum lands within a few units of K_j:
+    // gallop away from it until K_j is bracketed, then bisect.
+    prefix += row[j];
+    std::uint64_t lo = below;
+    std::uint64_t hi = kDrawRange;
+    if (lo < hi) {
+      const std::uint64_t seed = std::clamp(
+          static_cast<std::uint64_t>(std::min(std::ceil(prefix * 0x1.0p53),
+                                              0x1.0p53)),
+          lo, hi - 1);
+      const bool down = survives(j, seed);
+      if (down)
+        hi = seed;
+      else
+        lo = seed + 1;
+      for (std::uint64_t step = 1; lo < hi; step *= 2) {
+        const std::uint64_t probe = down ? hi - std::min(step, hi - lo)
+                                         : lo + std::min(step, hi - lo) - 1;
+        const bool s = survives(j, probe);
+        if (s)
+          hi = probe;
+        else
+          lo = probe + 1;
+        if (s != down) break;  // bracketed
+      }
+    }
+    while (lo < hi) {
+      const std::uint64_t mid = lo + (hi - lo) / 2;
+      if (survives(j, mid))
+        hi = mid;
+      else
+        lo = mid + 1;
+    }
+    out[j] = below = hi;
+  }
+  std::fill(out + last, out + n_, kDrawRange);
+  tabulated_[from] = 1;
 }
 
 TransitionMatrices transition_matrices(const SchemeEvaluation& evaluation,

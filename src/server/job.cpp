@@ -45,9 +45,8 @@ std::optional<analysis::InfeasibilityProof> precheck_target(
 
 std::string does_not_fit(const Design& design, const ResourceVec& budget) {
   return "design does not fit the target (lower bound " +
-         (design.largest_configuration_area() + design.static_base())
-             .to_string() +
-         ", budget " + budget.to_string() + ")";
+         analysis::fabric_lower_bound(design).to_string() + ", budget " +
+         budget.to_string() + ")";
 }
 
 std::optional<SchemeEvaluation> placement_true(const Device& device,

@@ -39,8 +39,8 @@ std::optional<analysis::InfeasibilityProof> precheck_target(
     const Design& design, const PartitionRequest& request,
     const DeviceLibrary& library);
 
-/// "design does not fit the target (lower bound L, budget B)", L being the
-/// largest configuration area plus the static base.
+/// "design does not fit the target (lower bound L, budget B)", L being
+/// analysis::fabric_lower_bound, the bound the pre-check proves against.
 std::string does_not_fit(const Design& design, const ResourceVec& budget);
 
 /// The simulate stage's `floorplan` patch: `eval` with the frame counts of

@@ -310,35 +310,36 @@ void Server::admit_job(std::uint64_t token, PartitionRequest request,
                                        ? job->request.timeout_ms
                                        : options_.default_timeout_ms;
   job->cancel.set_timeout_ms(static_cast<std::int64_t>(timeout_ms));
-  // The queue critical section decides admission and nothing else. Stats
-  // are folded in, notices sent and error responses rendered only after the
-  // lock drops: the stats mutex sits *below* the queue mutex in the
-  // hierarchy (lock_order.hpp), so touching ServerStats here would be an
-  // inversion — exactly the latent bug the lock-order validator caught.
+  // The queue critical section decides admission and nothing else; it runs
+  // inside the stats lock (stats sit above the queue in the hierarchy,
+  // lock_order.hpp), so the job is counted accepted before a worker can
+  // pop it and count it completed. Notices are sent and error responses
+  // rendered only after both locks drop.
   enum class Verdict { kAdmitted, kAdmittedQueued, kDraining, kQueueFull };
   Verdict verdict = Verdict::kAdmitted;
   std::size_t position = 0;
-  {
+  stats_.admit([&] {
     const MutexLock lock(queue_mutex_);
     if (draining_) {
       verdict = Verdict::kDraining;
-    } else if (queue_.size() >= high_watermark()) {
-      verdict = Verdict::kQueueFull;
-    } else {
-      queue_.push_back(job);
-      position = queue_.size();
-      if (position > options_.max_queue) verdict = Verdict::kAdmittedQueued;
+      return false;
     }
-  }
+    if (queue_.size() >= high_watermark()) {
+      verdict = Verdict::kQueueFull;
+      return false;
+    }
+    queue_.push_back(job);
+    position = queue_.size();
+    if (position > options_.max_queue) verdict = Verdict::kAdmittedQueued;
+    return true;
+  });
   switch (verdict) {
     case Verdict::kDraining:
-      stats_.job_rejected();
       reactor_->post_final(token,
                            error_response(job->request.id, ErrorCode::Overloaded,
                                           "server is draining"));
       return;
     case Verdict::kQueueFull:
-      stats_.job_rejected();
       reactor_->post_final(
           token, error_response(job->request.id, ErrorCode::Overloaded,
                                 "job queue is full (" +
@@ -346,7 +347,6 @@ void Server::admit_job(std::uint64_t token, PartitionRequest request,
                                     " waiting)"));
       return;
     case Verdict::kAdmittedQueued: {
-      stats_.job_accepted();
       queue_cv_.notify_one();
       // Soft band: the job is in, but the client learns it will wait. ETA
       // from the execution-time EWMA; advisory by design.
@@ -360,7 +360,6 @@ void Server::admit_job(std::uint64_t token, PartitionRequest request,
       return;
     }
     case Verdict::kAdmitted:
-      stats_.job_accepted();
       queue_cv_.notify_one();
       return;
   }

@@ -96,16 +96,6 @@ std::string StatsSnapshot::log_line() const {
          " floorplan_overturns=" + std::to_string(floorplan_overturns);
 }
 
-void ServerStats::job_accepted() {
-  const MutexLock lock(mutex_);
-  ++counters_.accepted;
-}
-
-void ServerStats::job_rejected() {
-  const MutexLock lock(mutex_);
-  ++counters_.rejected;
-}
-
 void ServerStats::job_infeasible(std::uint64_t latency_us) {
   const MutexLock lock(mutex_);
   ++counters_.infeasible;

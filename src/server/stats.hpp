@@ -119,8 +119,17 @@ struct StatsSnapshot {
 /// decision in the serving path reads it back.
 class ServerStats {
  public:
-  void job_accepted();
-  void job_rejected();
+  /// Runs `decide`, the queue's admission decision (true when the job got
+  /// in), under the stats lock and counts the job accepted or rejected.
+  /// A worker folds a job's completion through this lock too, so no
+  /// snapshot shows a job completed before it shows it accepted.
+  template <class Decide>
+  bool admit(Decide&& decide) {
+    const MutexLock lock(mutex_);
+    const bool admitted = decide();
+    ++(admitted ? counters_.accepted : counters_.rejected);
+    return admitted;
+  }
   void job_infeasible(std::uint64_t latency_us);
   void job_timed_out();
   void job_failed();
@@ -140,8 +149,9 @@ class ServerStats {
   void record_latency(std::uint64_t latency_us) PRPART_REQUIRES(mutex_);
 
   /// Low in the lock hierarchy (lock_order.hpp): counters are folded in
-  /// with no scheduler lock held, so stats can never extend — or deadlock
-  /// against — the admission/dequeue critical sections.
+  /// with no scheduler lock held, and admit() takes the queue lock only
+  /// inside this one, so stats can never deadlock against the
+  /// admission/dequeue critical sections.
   mutable Mutex mutex_{lock_order::Level::kServerStats, "server.stats"};
   /// The cumulative counters; the scheduler-owned depths and the latency
   /// percentiles are filled in at snapshot time.

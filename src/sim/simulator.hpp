@@ -69,6 +69,12 @@ struct SimulationResult {
   std::vector<std::pair<std::uint64_t, std::uint64_t>> latency_counts;
 };
 
+/// The most (controller state, configuration) edges a prefetching replay
+/// memoises at once. A full memo is folded into the result and started
+/// afresh from the current state, so the replay's memory does not grow
+/// with the trace.
+inline constexpr std::size_t kPrefetchMemoEdges = 4096;
+
 /// Replays `trace` against one scheme.
 ///
 /// Cost model: without prefetch, a transition i -> j loads exactly the
@@ -83,7 +89,10 @@ struct SimulationResult {
 /// in the current configuration are speculatively loaded for the
 /// Markov-predicted successor, and only the residual loads hit the critical
 /// path. The stateful model charges every load the memoryless rule charges,
-/// so on the same trace it never loads fewer frames.
+/// so on the same trace it never loads fewer frames. Each distinct
+/// (controller state, configuration) step runs the controller once and
+/// repeats read the memo, which is exact: the step depends on nothing else.
+/// The memo keeps at most kPrefetchMemoEdges edges.
 ///
 /// `evaluation` must be a valid evaluation of `scheme` for the design;
 /// every trace entry must be a valid configuration id (the trace reader

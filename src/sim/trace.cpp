@@ -12,10 +12,11 @@ TransitionTrace markov_trace(const MarkovChain& chain, Rng& rng,
   require(start < chain.states(), "markov_trace start state out of range");
   TransitionTrace trace;
   trace.configs.reserve(transitions + 1);
+  ThresholdSampler sampler(chain, transitions);
   std::size_t state = start;
   trace.configs.push_back(static_cast<std::uint32_t>(state));
   for (std::uint64_t k = 0; k < transitions; ++k) {
-    state = chain.sample_next(rng, state);
+    state = sampler.sample_next(rng, state);
     trace.configs.push_back(static_cast<std::uint32_t>(state));
   }
   return trace;

@@ -25,7 +25,8 @@ struct TransitionTrace {
 /// Samples a trace of `transitions` transitions from `chain`, starting in
 /// `start`. Fully deterministic in the Rng state: the same seed replays the
 /// same workload on every platform (the chains exclude self-transitions, so
-/// every step is a real reconfiguration request).
+/// every step is a real reconfiguration request). Draws go through a
+/// ThresholdSampler, so the trace equals chain.sample_next's, draw for draw.
 TransitionTrace markov_trace(const MarkovChain& chain, Rng& rng,
                              std::uint64_t transitions, std::size_t start = 0);
 

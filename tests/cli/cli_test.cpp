@@ -316,9 +316,10 @@ TEST_F(CliTest, PartitionThreadsFlagGivesIdenticalOutput) {
 
 TEST_F(CliTest, SimulateInfeasibleTargetPrintsTheSharedMessage) {
   // simulate reports an infeasible target with the message partition and
-  // the server use: the lower bound next to the budget it overshoots.
+  // the server use: the tile-rounded lower bound the pre-check proves
+  // against, next to the budget it overshoots.
   const std::string message =
-      "design does not fit the target (lower bound 6369 CLBs, 43 BRAMs, 116 "
+      "design does not fit the target (lower bound 6380 CLBs, 44 BRAMs, 120 "
       "DSPs, budget 100 CLBs, 1 BRAMs, 1 DSPs)\n";
   const CliRun sim = invoke({"simulate", design_path_, "--budget", "100,1,1",
                              "--steps", "10"});

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "bitstream/bitstream.hpp"
 #include "design/synthetic.hpp"
 #include "synth/ip_library.hpp"
 #include "tests/core/example_designs.hpp"
@@ -13,6 +14,14 @@ namespace prpart {
 namespace {
 
 using testing::paper_example;
+
+/// Step 7 of the flow, as `prpart flow` runs it on the winner.
+std::vector<Bitstream> winner_bitstreams(const Design& design,
+                                         const FlowResult& r) {
+  return generate_bitstreams(design, r.partitioning.base_partitions,
+                             r.partitioning.proposed.scheme,
+                             r.partitioning.proposed.eval);
+}
 
 TEST(Flow, CaseStudyCompletesOnFX70T) {
   const Design design = synth::wireless_receiver_design();
@@ -25,8 +34,9 @@ TEST(Flow, CaseStudyCompletesOnFX70T) {
   EXPECT_TRUE(r.partitioning.proposed.eval.valid);
   EXPECT_TRUE(r.floorplan.feasible);
   EXPECT_NE(r.ucf.find("AREA_GROUP"), std::string::npos);
-  EXPECT_FALSE(r.bitstreams.empty());
-  for (const Bitstream& b : r.bitstreams) validate_bitstream(b);
+  const std::vector<Bitstream> bitstreams = winner_bitstreams(design, r);
+  EXPECT_FALSE(bitstreams.empty());
+  for (const Bitstream& b : bitstreams) validate_bitstream(b);
 }
 
 TEST(Flow, ArtifactsAreMutuallyConsistent) {
@@ -39,7 +49,7 @@ TEST(Flow, ArtifactsAreMutuallyConsistent) {
   std::size_t members = 0;
   for (const Region& region : r.partitioning.proposed.scheme.regions)
     members += region.members.size();
-  EXPECT_EQ(r.bitstreams.size(), members);
+  EXPECT_EQ(winner_bitstreams(design, r).size(), members);
 
   // One placement per region, each providing its region's tiles.
   EXPECT_EQ(r.floorplan.placements.size(),
@@ -90,7 +100,8 @@ TEST(Flow, SweepOfSyntheticDesignsCompletes) {
       const FlowResult r = run_flow_auto_device(s.design, lib, opt);
       if (r.success) {
         ++succeeded;
-        for (const Bitstream& b : r.bitstreams) validate_bitstream(b);
+        for (const Bitstream& b : winner_bitstreams(s.design, r))
+          validate_bitstream(b);
       }
     } catch (const DeviceError&) {
       // acceptable: some designs floorplan on no library device

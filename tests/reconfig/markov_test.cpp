@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 
 #include "core/partitioner.hpp"
 #include "tests/core/example_designs.hpp"
@@ -99,6 +100,130 @@ TEST(MarkovChain, NumericalTailNeverPicksAZeroProbabilityState) {
   const MarkovChain u = MarkovChain::uniform(4);
   for (std::size_t from = 0; from < 4; ++from)
     EXPECT_NE(u.next_state(from, largest), from) << from;
+}
+
+// ---------------------------------------------------------------------------
+// ThresholdSampler: MarkovChain::next_state by counting thresholds.
+
+using Rows = std::vector<std::vector<double>>;
+
+/// Every draw at and beside every finite threshold, the two extreme draws
+/// and `random_draws` random ones pick what next_state picks, row by row.
+void expect_draws_match(const MarkovChain& chain, std::size_t random_draws,
+                        const std::string& context) {
+  ThresholdSampler sampler(chain, ~std::uint64_t{0});
+  ASSERT_TRUE(sampler.tabulates()) << context;
+  const std::uint64_t range = ThresholdSampler::kDrawRange;
+  const auto check = [&](std::size_t from, std::uint64_t k) {
+    ASSERT_EQ(sampler.pick(from, k),
+              chain.next_state(from, static_cast<double>(k) * 0x1.0p-53))
+        << context << " row " << from << " draw " << k;
+  };
+  Rng rng(77);
+  for (std::size_t from = 0; from < chain.states(); ++from) {
+    const auto thresholds = sampler.thresholds(from);
+    ASSERT_EQ(thresholds.size(), chain.states());
+    for (std::size_t j = 0; j < thresholds.size(); ++j) {
+      const std::uint64_t t = thresholds[j];
+      if (j > 0) {
+        ASSERT_GE(t, thresholds[j - 1]) << context;
+      }
+      if (t >= range) continue;
+      if (t > 0) check(from, t - 1);
+      check(from, t);
+      if (t + 1 < range) check(from, t + 1);
+    }
+    check(from, 0);
+    check(from, range - 1);
+    for (std::size_t d = 0; d < random_draws; ++d)
+      check(from, rng.next() >> 11);
+  }
+}
+
+TEST(ThresholdSampler, DrawsEqualNextStateAroundEveryThreshold) {
+  Rng rng(2029);
+  // Row lengths on both sides of powers of two the binary search halves.
+  for (const std::size_t n : {2u, 3u, 5u, 17u, 32u, 33u, 64u})
+    expect_draws_match(MarkovChain::random(rng, n), 2000,
+                       "random " + std::to_string(n));
+  expect_draws_match(MarkovChain::uniform(4), 2000, "uniform 4");
+  expect_draws_match(MarkovChain::uniform(50), 200, "uniform 50");
+}
+
+TEST(ThresholdSampler, ZeroEntriesAreNeverPicked) {
+  const MarkovChain chain(Rows{{0.0, 0.25, 0.0, 0.0, 0.75, 0.0},
+                               {0.0, 0.0, 0.0, 0.0, 0.0, 1.0},
+                               {1.0, 0.0, 0.0, 0.0, 0.0, 0.0},
+                               {0.5, 0.0, 0.0, 0.0, 0.0, 0.5},
+                               {0.0, 0.0, 1e-300, 0.0, 1.0, 0.0},
+                               {0.1, 0.2, 0.0, 0.3, 0.0, 0.4}});
+  expect_draws_match(chain, 5000, "zeros");
+  ThresholdSampler sampler(chain, ~std::uint64_t{0});
+  Rng rng(3);
+  for (std::size_t from = 0; from < chain.states(); ++from)
+    for (int d = 0; d < 2000; ++d) {
+      const std::size_t to = sampler.sample_next(rng, from);
+      EXPECT_GT(chain.probability(from, to), 0.0) << from << " -> " << to;
+    }
+}
+
+TEST(ThresholdSampler, RowsOffOneByRoundingKeepTheTailRule) {
+  // Rows within the constructor's tolerance of 1, both sides. A short row
+  // leaves the largest draws past its sum, where next_state falls back to
+  // the last positive state; a long one ends before the draws run out.
+  const MarkovChain chain(Rows{{0.3, 0.3, 0.4 - 1e-10, 0.0},
+                               {0.3, 0.3, 0.4 + 1e-10, 0.0},
+                               {0.5, 0.5 - 9e-10, 0.0, 0.0},
+                               {0.0, 0.0, 0.5 + 1e-10, 0.5}});
+  expect_draws_match(chain, 5000, "off by 1e-10");
+  ThresholdSampler sampler(chain, ~std::uint64_t{0});
+  const std::uint64_t largest = ThresholdSampler::kDrawRange - 1;
+  EXPECT_EQ(sampler.pick(0, largest), 2u);
+  EXPECT_EQ(sampler.pick(2, largest), 1u);
+  EXPECT_EQ(sampler.pick(3, largest), 3u);
+}
+
+TEST(ThresholdSampler, LargeChainFallsBackToNextState) {
+  // 300 states at 100k draws: fewer than kDrawsPerTableEntry draws per
+  // table entry, so nothing is tabulated.
+  Rng chain_rng(11);
+  const MarkovChain chain = MarkovChain::random(chain_rng, 300);
+  ThresholdSampler sampler(chain, 100'000);
+  EXPECT_FALSE(sampler.tabulates());
+  Rng a(5), b(5);
+  std::size_t s = 0, t = 0;
+  for (int k = 0; k < 20'000; ++k) {
+    s = sampler.sample_next(a, s);
+    t = chain.sample_next(b, t);
+    ASSERT_EQ(s, t) << "draw " << k;
+  }
+  // Asked for enough draws, the same chain tabulates lazily, and its
+  // binary-searched rows agree too (a few rows: each costs ~C^2).
+  ThresholdSampler tabulating(chain, 4 * 300 * 300);
+  EXPECT_TRUE(tabulating.tabulates());
+  Rng c(9);
+  for (const std::size_t from : {0u, 1u, 150u, 299u}) {
+    const auto thresholds = tabulating.thresholds(from);
+    for (std::size_t j = 0; j < thresholds.size(); ++j)
+      for (const std::uint64_t k : {thresholds[j] - 1, thresholds[j]}) {
+        if (k >= ThresholdSampler::kDrawRange) continue;
+        ASSERT_EQ(tabulating.pick(from, k),
+                  chain.next_state(from, static_cast<double>(k) * 0x1.0p-53))
+            << "row " << from << " draw " << k;
+      }
+    for (int d = 0; d < 1000; ++d) {
+      const std::uint64_t k = c.next() >> 11;
+      ASSERT_EQ(tabulating.pick(from, k),
+                chain.next_state(from, static_cast<double>(k) * 0x1.0p-53));
+    }
+  }
+}
+
+TEST(ThresholdSampler, TabulatesOnlyWhenTheDrawsRepayTheTable) {
+  const MarkovChain chain = MarkovChain::uniform(10);
+  EXPECT_FALSE(ThresholdSampler(chain, 399).tabulates());
+  EXPECT_TRUE(ThresholdSampler(chain, 400).tabulates());
+  EXPECT_THROW(ThresholdSampler(chain, 400).thresholds(10), InternalError);
 }
 
 class MarkovCost : public ::testing::Test {

@@ -5,6 +5,7 @@
 #include <set>
 #include <utility>
 
+#include "server/protocol.hpp"
 #include "util/rng.hpp"
 #include "util/status.hpp"
 
@@ -69,6 +70,56 @@ TEST(MarkovTrace, HasRequestedShape) {
   // The library chains exclude self-transitions: every step reconfigures.
   for (std::size_t k = 1; k < trace.configs.size(); ++k)
     EXPECT_NE(trace.configs[k - 1], trace.configs[k]) << "step " << k;
+}
+
+TEST(MarkovTrace, SimulateSetupTracesArePinned) {
+  // FNV-1a over the trace entries of simulate_setup (the server's and
+  // `prpart simulate`'s trace), pinned from the subtraction-loop sampler
+  // before threshold sampling replaced it. They cover tabulated rows
+  // (C = 5 to 64), a chain too large to tabulate for its draws (300) and
+  // the two-state ping-pong.
+  struct Pin {
+    std::size_t configs;
+    std::uint64_t seed, steps, hash;
+  };
+  for (const Pin& pin : {Pin{5, 1, 20000, 0x958901634c2ad54bull},
+                         Pin{5, 424242, 20000, 0xc72213ab86b49897ull},
+                         Pin{17, 7, 20000, 0x9b52c209306cdb7bull},
+                         Pin{40, 1, 20000, 0x8433ed8425673004ull},
+                         Pin{64, 3, 100000, 0x2b9a875ac4bf6cfbull},
+                         Pin{300, 5, 20000, 0x2b3e6483e46cc46cull},
+                         Pin{2, 9, 1000, 0xd944635ab874ee2full}}) {
+    server::SimulateParams params;
+    params.seed = pin.seed;
+    params.steps = pin.steps;
+    const server::SimulateSetup setup =
+        server::simulate_setup(pin.configs, params);
+    ASSERT_EQ(setup.trace.transitions(), pin.steps);
+    std::uint64_t hash = 14695981039346656037ull;
+    for (const std::uint32_t c : setup.trace.configs) {
+      hash ^= c;
+      hash *= 1099511628211ull;
+    }
+    EXPECT_EQ(hash, pin.hash) << "C " << pin.configs << " seed " << pin.seed;
+  }
+}
+
+TEST(MarkovTrace, EqualsTheSubtractionLoopDrawForDraw) {
+  // Whether or not the sampler tabulates, the trace is chain.sample_next's.
+  Rng chain_rng(8);
+  for (const std::size_t n : {3u, 20u, 45u, 200u}) {
+    const MarkovChain chain = MarkovChain::random(chain_rng, n);
+    for (const std::uint64_t steps : {50ull, 60'000ull}) {
+      Rng a(n + steps), b(n + steps);
+      const TransitionTrace trace = markov_trace(chain, a, steps, 1);
+      std::size_t state = 1;
+      ASSERT_EQ(trace.configs.front(), 1u);
+      for (std::uint64_t k = 1; k <= steps; ++k) {
+        state = chain.sample_next(b, state);
+        ASSERT_EQ(trace.configs[k], state) << "n " << n << " step " << k;
+      }
+    }
+  }
 }
 
 TEST(MarkovTrace, RejectsOutOfRangeStart) {

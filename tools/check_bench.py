@@ -11,8 +11,10 @@ baseline within a relative tolerance (default +-25%). Wall-clock keys
 counters are deterministic outputs of the search and simulator and must
 not drift silently. The keys the EXACT registry names (per baseline file)
 must equal the baseline exactly: the search and device-walk answers and
-counters that are thread-count- and host-invariant by contract, where even
-a 1% drift is an answer change, not noise.
+counters, and the simulator's trace and replay counters, that are
+thread-count- and host-invariant by contract, where even a 1% drift is an
+answer change, not noise (a Markov sampler that is not draw-for-draw
+identical moves the markov and prefetch counters by well under 25%).
 
 Some baselines additionally carry acceptance floors: BENCH_search.json
 requires the full-evaluation reduction of the bounded search over the
@@ -157,6 +159,20 @@ EXACT = {
         "exhaustive.units_pruned",
         "kernel.kernel_evaluations",
         "kernel.signature_collapsed_configs",
+    },
+    "BENCH_simulate.json": {
+        "uniform.transitions",
+        "uniform.frames_loaded",
+        "uniform.pairs_checked",
+        "uniform.frames_identities",
+        "markov.transitions",
+        "markov.frames_loaded",
+        "markov.region_loads",
+        "markov.total_latency_ns",
+        "prefetch.frames_loaded",
+        "prefetch.prefetched_frames",
+        "prefetch.useful_prefetches",
+        "prefetch.wasted_prefetches",
     },
 }
 
