@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cctype>
 
-#include "device/tiles.hpp"
+#include "core/schemes.hpp"
 
 namespace prpart::analysis {
 
@@ -89,18 +89,13 @@ std::size_t AnalysisResult::count(Severity s) const {
   return n;
 }
 
-ResourceVec fabric_lower_bound(const Design& design) {
-  return tiles_for(design.largest_configuration_area()).resources() +
-         design.static_base();
-}
-
 std::optional<InfeasibilityProof> prove_infeasible(const Design& design,
                                                    const ResourceVec& budget,
                                                    const DeviceLibrary& library,
                                                    const std::string& target) {
   // The single-region bound of §IV-C: exactly the feasibility check the
   // allocation search applies (evaluate_scheme on single_region_scheme).
-  const ResourceVec bound = fabric_lower_bound(design);
+  const ResourceVec bound = single_region_footprint(design);
   if (bound.fits_in(budget)) return std::nullopt;
 
   InfeasibilityProof proof;
@@ -111,12 +106,8 @@ std::optional<InfeasibilityProof> prove_infeasible(const Design& design,
   proof.binding = binding_resource(bound, budget);
   proof.required = component(bound, proof.binding);
   proof.available = component(budget, proof.binding);
-  for (const Device& d : library.devices()) {
-    if (bound.fits_in(d.capacity())) {
-      proof.smallest_fitting_device = d.name();
-      break;
-    }
-  }
+  if (const Device* d = library.smallest_fitting(bound))
+    proof.smallest_fitting_device = d->name();
   return proof;
 }
 

@@ -72,11 +72,6 @@ AnalysisResult analyze_design(const Design& design,
                               const AnalysisOptions& options = {},
                               const DesignSpans* spans = nullptr);
 
-/// The least fabric any scheme of `design` occupies: its largest
-/// configuration area rounded up to whole tiles (Eqs. 3-5) plus the static
-/// base. prove_infeasible compares it against the target.
-ResourceVec fabric_lower_bound(const Design& design);
-
 /// The lower-bound feasibility check alone: returns the proof when the
 /// design cannot fit `budget` under any scheme, nullopt when the bound
 /// fits. `target` labels the proof (a device name or "budget"); `library`

@@ -57,7 +57,7 @@ struct OptimalResult {
 /// state count depend on discovery order, so a parallel variant would
 /// either lose determinism or forfeit most pruning. Parallel callers run
 /// whole optimal_partitioning invocations per design/candidate-set in
-/// parallel_for slots instead (nested parallel_for calls run inline), and
+/// parallel_for slots instead (nested fan-outs run inline), and
 /// the heuristic search's SearchOptions::threads covers the production hot
 /// path.
 OptimalResult optimal_partitioning(const Design& design,

@@ -13,13 +13,13 @@ namespace prpart {
 
 struct PartitionerOptions {
   /// Search effort and parallelism. `search.threads` fans the search's
-  /// work units across a worker pool (0 = hardware concurrency, 1 =
+  /// work units across a worker pool (0 = default_thread_count(), 1 =
   /// inline); every thread count yields byte-identical schemes and stats,
   /// so PartitionerResult is reproducible across machines. Surfaced on the
-  /// CLI as `--threads N`. `search.pool` and `search.scratch` pass a
-  /// persistent WorkerPool and a warm EvalScratch through to both the
-  /// search phases and the partitioner's own baseline batch (§4e): the
-  /// server's job workers set them so steady-state requests spawn no
+  /// CLI as `--threads N`. `search.pool` passes a persistent WorkerPool to
+  /// the search phases and `search.scratch` a warm EvalScratch to the
+  /// partitioner's baseline batch and the search's certification (§4e):
+  /// the server's job workers set them so steady-state requests spawn no
   /// threads and allocate nothing in the kernel.
   SearchOptions search;
   /// Cap on enumerated base-partition size passed to the clustering

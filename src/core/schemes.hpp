@@ -37,7 +37,8 @@ std::pair<PartitionScheme, SchemeEvaluation> single_region_scheme(
 /// Total resources of the single-region scheme: the largest configuration's
 /// area rounded up to whole tiles, plus the static base. This is the §IV-C
 /// lower bound: a budget it does not fit admits no PR scheme at all, so it
-/// decides PartitionerResult::feasible before anything is built.
+/// decides PartitionerResult::feasible before anything is built, and
+/// analysis::prove_infeasible proves against it.
 ResourceVec single_region_footprint(const Design& design);
 
 /// Index of the singleton base partition of `mode` in the master list;

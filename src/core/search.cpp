@@ -501,9 +501,6 @@ class Searcher {
         for (std::size_t j = i + 1; j < w.size(); ++j)
           require(w[i][j] == w[j][i], "pair_weights must be symmetric");
     }
-    const unsigned threads =
-        options_.threads != 0 ? options_.threads : default_thread_count();
-
     // Phase 1 — enumerate the work: per candidate partition set
     // (candidate_sets, §IV-C), one unit for the unconstrained descent plus
     // one per distinct valid first move.
@@ -531,6 +528,17 @@ class Searcher {
     }
     stats_.units = units.size();
 
+    // Phases 1b and 2 fan out over one pool, one candidate set per task:
+    // the caller's persistent pool when given, otherwise one built for this
+    // search. A thread count of 1 runs both inline on the caller.
+    const unsigned threads = resolve_thread_count(options_.threads);
+    std::optional<WorkerPool> own_pool;
+    WorkerPool& pool =
+        threads > 1 && options_.pool != nullptr
+            ? *options_.pool
+            : own_pool.emplace(static_cast<unsigned>(
+                  std::clamp<std::size_t>(initials.size(), 1, threads)));
+
     // Phase 1b — the branch-and-bound lower bounds. One admissible bound
     // per unit on the weighted total frames of every fitting completion of
     // its start state (the set's initial state pushed through the forced
@@ -542,7 +550,7 @@ class Searcher {
     if (options_.use_bounding) {
       unit_lb.assign(units.size(), 0);
       const std::uint64_t w_min = min_pair_weight(options_.pair_weights);
-      parallel_for(options_.pool, initials.size(), threads, [&](std::size_t k) {
+      pool.run(initials.size(), [&](std::size_t k) {
         const State& root = initials[k];
         const UnitBounds bounds(root, design_.static_base(), budget_,
                                 options_.allow_static_promotion, w_min);
@@ -575,7 +583,7 @@ class Searcher {
     const std::size_t keep =
         std::max<std::size_t>(1, options_.keep_alternatives);
     BoundHint hint(keep);
-    parallel_for(options_.pool, initials.size(), threads, [&](std::size_t k) {
+    pool.run(initials.size(), [&](std::size_t k) {
       ChunkRunner runner(design_, budget_, options_, initials[k]);
       for (std::size_t i = set_units[k].first; i < set_units[k].second; ++i) {
         if (options_.use_bounding) {

@@ -52,10 +52,14 @@ struct SearchOptions {
   /// runner-up takes its place before the flow resorts to budget shrinking.
   std::size_t keep_alternatives = 4;
   /// Worker threads for the search's fan-out over work units (candidate
-  /// sets x first-move restarts). 0 = default_thread_count() (hardware
+  /// sets x first-move restarts), by the one thread-count rule
+  /// (resolve_thread_count): 0 = default_thread_count() (hardware
   /// concurrency, overridable via $PRPART_THREADS); 1 runs inline on the
-  /// caller. Every value returns bit-identical schemes and deterministic
-  /// core stats — see DESIGN.md, "Parallel region-allocation search".
+  /// caller. Any other value runs on `pool` when one is given, else on one
+  /// WorkerPool of at most this many threads built per search; inside a
+  /// parallel_for or pool body the search spawns nothing and runs inline.
+  /// Every value returns bit-identical schemes and deterministic core
+  /// stats — see DESIGN.md, "Parallel region-allocation search".
   unsigned threads = 0;
   /// Branch-and-bound pruning: drop a restart unit without running it when
   /// an admissible lower bound on every fitting completion of its start
@@ -92,11 +96,11 @@ struct SearchOptions {
   /// returned SearchStats identically.
   EvalScratch* scratch = nullptr;
   /// Optional persistent worker pool (nullable; must outlive the search).
-  /// When set, the phase fan-outs run on the pool's threads instead of
-  /// spawning fresh ones — same dynamic schedule, byte-identical results —
-  /// so a server worker holding a pool reaches a thread-spawn-free steady
-  /// state across jobs (§4e). `threads` keeps its meaning as the logical
-  /// cap; a pooled run uses the pool's fixed thread count.
+  /// When set and `threads` is not 1, both phase fan-outs run on the
+  /// pool's threads instead of a per-search pool — same dynamic schedule,
+  /// byte-identical results — so a server worker holding a pool reaches a
+  /// thread-spawn-free steady state across jobs (§4e). A pooled run uses
+  /// the pool's fixed thread count.
   WorkerPool* pool = nullptr;
   /// Cooperative cancellation (nullable; must outlive the search). Workers
   /// poll it at unit boundaries and before every greedy scan (at most

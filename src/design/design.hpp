@@ -94,9 +94,12 @@ class Design {
  public:
   /// Checks every input rule: at least one module and one configuration;
   /// module and mode names present and unique; no module without modes; no
-  /// configuration without modules and no two alike. Throws DesignRuleError
-  /// listing every broken rule, or DesignError when a configuration's
-  /// mode_of_module does not fit the modules (a caller bug, never input).
+  /// configuration without modules and no two alike; the static base plus
+  /// every mode, each rounded up to whole tiles, within 32 bits per
+  /// resource (which bounds every sum the engine forms). Throws
+  /// DesignRuleError listing every broken rule, or DesignError when a
+  /// configuration's mode_of_module does not fit the modules (a caller bug,
+  /// never input).
   Design(std::string name, ResourceVec static_base, std::vector<Module> modules,
          std::vector<Configuration> configurations);
 

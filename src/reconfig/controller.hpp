@@ -96,9 +96,6 @@ class ReconfigurationController {
                             IcapModel icap = {},
                             std::optional<PrefetchPolicy> prefetch = {});
 
-  std::size_t region_count() const { return frames_.size(); }
-  std::size_t config_count() const { return nconf_; }
-
   /// Loads `config` from power-up (full configuration); resets statistics.
   void boot(std::size_t config);
 

@@ -1,5 +1,7 @@
 #include "server/job.hpp"
 
+#include "core/schemes.hpp"
+
 namespace prpart::server {
 
 const Device& TargetRun::placement_device() const {
@@ -45,7 +47,7 @@ std::optional<analysis::InfeasibilityProof> precheck_target(
 
 std::string does_not_fit(const Design& design, const ResourceVec& budget) {
   return "design does not fit the target (lower bound " +
-         analysis::fabric_lower_bound(design).to_string() + ", budget " +
+         single_region_footprint(design).to_string() + ", budget " +
          budget.to_string() + ")";
 }
 

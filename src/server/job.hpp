@@ -40,7 +40,7 @@ std::optional<analysis::InfeasibilityProof> precheck_target(
     const DeviceLibrary& library);
 
 /// "design does not fit the target (lower bound L, budget B)", L being
-/// analysis::fabric_lower_bound, the bound the pre-check proves against.
+/// single_region_footprint, the bound the pre-check proves against.
 std::string does_not_fit(const Design& design, const ResourceVec& budget);
 
 /// The simulate stage's `floorplan` patch: `eval` with the frame counts of

@@ -284,7 +284,7 @@ void Server::admit_job(std::uint64_t token, PartitionRequest request,
     return;
   }
   if (request.options.search.threads == 0)
-    request.options.search.threads = std::max(1u, options_.job_threads);
+    request.options.search.threads = options_.job_threads;
 
   // Simulate and floorplan jobs are cached next to partition jobs: both
   // stages are pure functions of (design, target, options, params), so the
@@ -370,7 +370,7 @@ void Server::worker_loop() {
   // are spawned once here, and the kernel scratch keeps its buffers warm,
   // so back-to-back jobs run with zero thread spawns and zero steady-state
   // kernel allocations.
-  WorkerPool pool(std::max(1u, options_.job_threads));
+  WorkerPool pool(options_.job_threads);
   EvalScratch scratch;
   while (true) {
     std::shared_ptr<Job> job;

@@ -49,10 +49,12 @@ struct ServerOptions {
   std::string store_dir;
   /// On-disk store capacity in entries (files); 0 disables the disk layer.
   std::size_t store_entries = 4096;
-  /// Worker threads *inside* one job's region-allocation search (the
-  /// existing parallel_for pool), used when the request does not pin its
-  /// own `threads`. Kept at 1 by default so K scheduler workers do not
-  /// multiply into K x hardware_concurrency search threads.
+  /// Threads of each job worker's persistent WorkerPool, which runs the
+  /// region-allocation search of every job whose request does not set
+  /// `threads` to 1 (a request without `threads` takes this count).
+  /// 0 = default_thread_count(), 1 = inline. Kept at 1 by default so K
+  /// scheduler workers do not multiply into K x hardware_concurrency
+  /// search threads.
   unsigned job_threads = 1;
   /// Admission threads behind the epoll reactor: they parse and dispatch
   /// the framed request lines, keeping the reactor thread free for I/O.

@@ -109,11 +109,11 @@ struct SchemeRef {
   const SchemeEvaluation* evaluation = nullptr;
 };
 
-/// Replays the same trace against many candidate schemes, fanned out over
-/// `threads` workers (0 = hardware concurrency, 1 = inline). Results are
-/// index-addressed and each scheme's replay is single-threaded, so the
-/// output is byte-identical for every thread count — the same determinism
-/// discipline as the parallel allocation search.
+/// Replays the same trace against many candidate schemes, fanned out by
+/// parallel_for over `threads` workers (0 = default_thread_count(), 1 =
+/// inline). Results are index-addressed and each scheme's replay is
+/// single-threaded, so the output is byte-identical for every thread count
+/// — the same determinism discipline as the parallel allocation search.
 std::vector<SimulationResult> simulate_schemes(
     const Design& design, const std::vector<SchemeRef>& schemes,
     const TransitionTrace& trace, const SimulationOptions& options = {},

@@ -30,23 +30,6 @@ std::uint64_t Value::as_u64() const {
   type_error("non-negative integer", type_);
 }
 
-std::int64_t Value::as_i64() const {
-  if (type_ == Type::Int) return int_;
-  if (type_ == Type::Uint) {
-    if (uint_ > static_cast<std::uint64_t>(INT64_MAX))
-      throw ParseError("JSON integer out of int64 range");
-    return static_cast<std::int64_t>(uint_);
-  }
-  type_error("integer", type_);
-}
-
-double Value::as_double() const {
-  if (type_ == Type::Double) return double_;
-  if (type_ == Type::Uint) return static_cast<double>(uint_);
-  if (type_ == Type::Int) return static_cast<double>(int_);
-  type_error("number", type_);
-}
-
 const std::string& Value::as_string() const {
   if (type_ != Type::String) type_error("string", type_);
   return string_;

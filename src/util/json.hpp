@@ -44,15 +44,12 @@ class Value {
     return type_ == Type::Uint || type_ == Type::Int || type_ == Type::Double;
   }
   bool is_string() const { return type_ == Type::String; }
-  bool is_array() const { return type_ == Type::Array; }
   bool is_object() const { return type_ == Type::Object; }
 
   /// Typed accessors throw ParseError on a type mismatch: protocol fields of
   /// the wrong shape surface as bad_request, never as a crash.
   bool as_bool() const;
   std::uint64_t as_u64() const;
-  std::int64_t as_i64() const;
-  double as_double() const;
   const std::string& as_string() const;
 
   /// Array access.

@@ -58,7 +58,6 @@ enum class Level : std::uint32_t {
                           ///< inside their bodies, after the pool mutex is
                           ///< released.
   kSearchBoundHint = 50,  ///< shared leaderboard hint of the parallel search
-  kParallelForError = 70, ///< first-exception slot of a parallel_for pool
   kServerQueue = 80,      ///< bounded job queue + admission control
   kReactorOutbox = 85,    ///< reactor completion queue: finished responses
                           ///< posted cross-thread for the epoll loop to

@@ -12,45 +12,41 @@
 
 namespace prpart {
 
-/// Runs `body(i)` for every i in [0, count) across `threads` worker
-/// threads, pulling indices from a shared atomic counter (dynamic
-/// scheduling — iteration costs in the sweeps vary by an order of
+/// Worker count from the environment variable `env_var` when set, otherwise
+/// std::thread::hardware_concurrency() (at least 1).
+unsigned default_thread_count(const char* env_var = "PRPART_THREADS");
+
+/// The one thread-count rule of every fan-out (parallel_for, WorkerPool,
+/// the search's SearchOptions::threads, sim::simulate_schemes, the
+/// server's --job-threads): 0 means default_thread_count(), any other
+/// value is taken as given, and 1 runs inline on the caller.
+unsigned resolve_thread_count(unsigned threads);
+
+/// True while the calling thread is executing a parallel_for or WorkerPool
+/// body. A pool built there spawns no thread and a run issued there
+/// executes inline, so composed parallel layers (sweep over designs x
+/// search over work units) cannot multiply the thread count.
+bool inside_parallel_for();
+
+/// The one dispatch loop of the project. run() distributes [0, count)
+/// across the pool's threads, pulling indices from a shared atomic counter
+/// (dynamic scheduling — iteration costs in the sweeps vary by an order of
 /// magnitude, so static chunking would leave workers idle).
 ///
 /// Guarantees:
 ///  * every index is executed exactly once;
 ///  * results written to distinct per-index slots need no synchronisation;
-///  * with threads <= 1 the loop runs inline on the calling thread;
 ///  * the first exception thrown by any body is rethrown on the caller
-///    after all workers have stopped.
+///    after every participant has stopped, and the pool stays usable.
 ///
 /// Bodies must not themselves assume an execution order: determinism of the
 /// overall computation must come from writing to index-addressed outputs,
 /// exactly like an OpenMP `parallel for` with `schedule(dynamic)`.
 ///
-/// Nested calls run inline: a parallel_for issued from inside a worker's
-/// body executes on that worker without spawning further threads, so
-/// composed parallel layers (sweep over designs x search over work units)
-/// cannot multiply the thread count.
-void parallel_for(std::size_t count, unsigned threads,
-                  const std::function<void(std::size_t)>& body);
-
-/// True while the calling thread is executing a parallel_for body on a
-/// spawned worker (used by nested calls to fall back to inline execution).
-bool inside_parallel_for();
-
-/// Worker count from the environment variable `env_var` when set, otherwise
-/// std::thread::hardware_concurrency() (at least 1).
-unsigned default_thread_count(const char* env_var = "PRPART_THREADS");
-
-/// A persistent worker pool with parallel_for semantics: run() distributes
-/// [0, count) across the pool's threads through the same dynamic atomic
-/// counter, with the same guarantees (every index exactly once, first
-/// exception rethrown on the caller, nested runs inline). Unlike the free
-/// parallel_for, the threads are spawned once in the constructor and reused
-/// across run() calls, so a server worker that keeps a pool across jobs
-/// reaches a steady state that spawns no threads per request (DESIGN.md
-/// §4e). The calling thread participates as the n-th worker, so
+/// The constructor is the only place the project spawns compute threads;
+/// they are reused across run() calls, so a server worker that keeps a pool
+/// across jobs reaches a steady state that spawns no threads per request
+/// (DESIGN.md §4e). The calling thread participates as the n-th worker, so
 /// WorkerPool(n) owns n-1 threads but run() executes bodies on up to n.
 ///
 /// One pool serves one runner at a time: run() is not reentrant and must
@@ -62,7 +58,9 @@ unsigned default_thread_count(const char* env_var = "PRPART_THREADS");
 /// mutex is dropped) and above the server layers.
 class WorkerPool {
  public:
-  /// Spawns `threads - 1` workers (threads <= 1 means run() is inline).
+  /// Spawns resolve_thread_count(threads) - 1 workers: 0 means
+  /// default_thread_count(), 1 runs inline. Built inside a parallel_for
+  /// or pool body it spawns nothing (its runs would be inline anyway).
   explicit WorkerPool(unsigned threads);
   ~WorkerPool();
 
@@ -79,8 +77,8 @@ class WorkerPool {
     return static_cast<std::uint64_t>(workers_.size());
   }
 
-  /// parallel_for(count, thread_count(), body) over the persistent
-  /// workers. Runs inline (no handoff) when the pool has no workers, when
+  /// Runs body(i) for every i in [0, count) over the persistent workers.
+  /// Runs inline (no handoff) when the pool has no workers, when
   /// count <= 1, or when called from inside a parallel_for/pool body.
   void run(std::size_t count, const std::function<void(std::size_t)>& body);
 
@@ -106,14 +104,11 @@ class WorkerPool {
   std::vector<std::thread> workers_;
 };
 
-/// parallel_for that reuses `pool` when given one (and the call is not
-/// nested), spawning fresh threads otherwise — the seam through which
-/// SearchOptions::pool threads the server's persistent pool into the
-/// search phases without changing any call that passes no pool. `threads`
-/// still caps the fan-out logically, but a pooled run uses the pool's
-/// fixed thread count; both schedules produce identical results by the
-/// parallel_for determinism contract.
-void parallel_for(WorkerPool* pool, std::size_t count, unsigned threads,
+/// Runs `body(i)` for every i in [0, count) on a WorkerPool of
+/// min(resolve_thread_count(threads), count) threads built for this call:
+/// WorkerPool::run's guarantees, with threads <= 1 inline on the caller.
+/// Callers that fan out repeatedly keep a WorkerPool instead.
+void parallel_for(std::size_t count, unsigned threads,
                   const std::function<void(std::size_t)>& body);
 
 }  // namespace prpart

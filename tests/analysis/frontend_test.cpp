@@ -98,6 +98,38 @@ TEST(FrontendTest, ResourceBeyond32BitsIsBadAttribute) {
   EXPECT_EQ(d->span.line, 2u);
 }
 
+TEST(FrontendTest, ResourceTotalBeyond32BitsIsResourceOverflow) {
+  // Each count fits 32 bits; the static logic plus the modes, in whole
+  // tiles, does not. The error sits on the mode that crosses the limit.
+  const std::string text =
+      "<design name=\"t\">\n"
+      "  <static clbs=\"100\"/>\n"
+      "  <module name=\"A\">\n"
+      "    <mode name=\"M1\" clbs=\"10\"/>\n"
+      "    <mode name=\"M2\" clbs=\"4294967190\"/>\n"
+      "  </module>\n"
+      "  <configurations>\n"
+      "    <configuration><use module=\"A\" mode=\"M1\"/></configuration>\n"
+      "    <configuration><use module=\"A\" mode=\"M2\"/></configuration>\n"
+      "  </configurations>\n"
+      "</design>\n";
+  const SourceAnalysis sa = analyze_design_source(text);
+  EXPECT_FALSE(sa.parsed.has_value());
+  const Diagnostic* d = find_code(sa, "resource-overflow");
+  ASSERT_NE(d, nullptr);
+  EXPECT_EQ(d->severity, Severity::Error);
+  EXPECT_EQ(d->span.line, 5u);
+  EXPECT_EQ(d->message,
+            "mode 'M2' of module 'A' brings the design's tile-rounded CLB "
+            "total (static logic plus every mode) to 4294967320, above the "
+            "32-bit limit 4294967295");
+  // One count short of the limit in whole tiles builds: 100 + 20 +
+  // 4294967160 = 4294967280.
+  std::string fits = text;
+  fits.replace(fits.find("4294967190"), 10, "4294967160");
+  EXPECT_TRUE(analyze_design_source(fits).parsed.has_value());
+}
+
 TEST(FrontendTest, DuplicateModuleNameIsAnError) {
   const std::string text =
       "<design name=\"t\">\n"

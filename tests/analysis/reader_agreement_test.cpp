@@ -144,7 +144,7 @@ std::string mutate_schema(Rng& rng, std::string doc) {
        "<configurations><configuration name=\"e\"></configuration>"},
       {"<configurations>", "<module name=\"E\"></module><configurations>"},
       {"<configuration name=\"", "<configuration name=\"\" was=\""},
-      {"clbs=\"", "clbs=\"4294967295\" was=\""},  // largest 32-bit count
+      {"clbs=\"", "clbs=\"4294967295\" was=\""},  // resource-overflow
       {"<design ", "<designs "},
   };
   // Elements to duplicate in place: duplicate module, mode, configuration

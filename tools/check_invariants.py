@@ -4,7 +4,7 @@
 Usage:
     check_invariants.py [--repo PATH]
 
-Three families of drift this linter makes impossible to land silently:
+Four families of drift this linter makes impossible to land silently:
 
   1. Diagnostics: every diagnostic code constructed in src/analysis,
      src/design (the reader's structural codes), src/sim or src/floorplan
@@ -19,6 +19,11 @@ Three families of drift this linter makes impossible to land silently:
      registry entries (declared but absent from the baseline) also fail,
      and so does an EXACT pattern that matches no drift-checked key of its
      baseline.
+  4. Lock levels: every lock_order::Level enumerator in
+     src/util/lock_order.hpp must be constructed by some Mutex under src/
+     and have a row (by its level number) in DESIGN.md's lock hierarchy
+     table, and every row must name an enumerator, so a level whose mutex
+     is deleted cannot linger.
 
 Exit status: 0 clean, 1 on any violation, 2 on usage/IO errors.
 """
@@ -40,6 +45,10 @@ DIAG_PATTERNS = (
     re.compile(r'\.code\s*=\s*"([a-z][a-z0-9-]*)"'),
 )
 DIAG_DIRS = ("src/analysis", "src/design", "src/sim", "src/floorplan")
+
+LOCK_LEVEL_ENUM = re.compile(r"^\s*(k\w+)\s*=\s*(\d+)\s*,", re.MULTILINE)
+MUTEX_LEVEL = re.compile(r"\bMutex\s+\w+\s*[{(]\s*lock_order::Level::(k\w+)")
+LOCK_TABLE_ROW = re.compile(r"^\|\s*(\d+)\s*\|", re.MULTILINE)
 
 STATS_SOURCES = ("src/server/stats.cpp", "src/server/protocol.cpp")
 SET_KEY = re.compile(r'\.set\("([a-z][a-z0-9_]*)"')
@@ -84,6 +93,42 @@ def check_diagnostics(repo, failures):
                 f"diagnostics: `{code}` (constructed at {where}) has no "
                 "test under tests/ asserting on it -- add a fixture that "
                 "triggers the diagnostic and checks its code")
+
+
+def check_lock_levels(repo, failures):
+    levels = LOCK_LEVEL_ENUM.findall(
+        (repo / "src/util/lock_order.hpp").read_text())
+    if not levels:
+        failures.append(
+            "locks: no enumerators found in src/util/lock_order.hpp -- "
+            "update LOCK_LEVEL_ENUM in tools/check_invariants.py")
+        return
+    constructed = set()
+    for path in sorted((repo / "src").rglob("*.[ch]pp")):
+        constructed.update(MUTEX_LEVEL.findall(path.read_text()))
+    design = (repo / "DESIGN.md").read_text()
+    heading = design.find("### The lock hierarchy")
+    if heading < 0:
+        failures.append("locks: DESIGN.md has no \"### The lock hierarchy\" "
+                        "section -- did the heading move?")
+        return
+    # The table runs from its first row to the blank line that ends it.
+    table = design[heading:design.find("\n\n", design.find("|", heading))]
+    rows = set(LOCK_TABLE_ROW.findall(table))
+    for value in sorted(rows - {v for _, v in levels}, key=int):
+        failures.append(
+            f"locks: DESIGN.md's lock hierarchy table has a row for level "
+            f"{value}, which no lock_order::Level enumerator has -- delete "
+            "the stale row")
+    for name, value in levels:
+        if name not in constructed:
+            failures.append(
+                f"locks: lock_order::Level::{name} ({value}) is constructed "
+                "by no Mutex under src/ -- delete the level with its mutex")
+        if value not in rows:
+            failures.append(
+                f"locks: lock_order::Level::{name} ({value}) has no row in "
+                "DESIGN.md's lock hierarchy table -- document the lock")
 
 
 def check_stats_docs(repo, failures):
@@ -180,14 +225,15 @@ def main():
     check_diagnostics(repo, failures)
     check_stats_docs(repo, failures)
     check_bench_coverage(repo, failures)
+    check_lock_levels(repo, failures)
 
     if failures:
         print(f"check_invariants: {len(failures)} violation(s):")
         for line in failures:
             print(f"  {line}")
         return 1
-    print("check_invariants: diagnostics, stats docs and bench gating "
-          "are consistent")
+    print("check_invariants: diagnostics, stats docs, bench gating and "
+          "lock levels are consistent")
     return 0
 
 
