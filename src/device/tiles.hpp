@@ -49,10 +49,12 @@ struct TileCount {
 
 /// Rounds a raw resource requirement up to whole tiles (Eqs. 3-5). The paper
 /// forbids sharing a tile between regions, so every region's footprint is a
-/// whole number of tiles per resource type.
+/// whole number of tiles per resource type. Rounding up by the remainder,
+/// not by `a + b - 1`, keeps a count within a tile of 2^32 from wrapping to
+/// 0 tiles.
 constexpr TileCount tiles_for(const ResourceVec& r) {
-  auto ceil_div = [](std::uint32_t a, std::uint32_t b) {
-    return (a + b - 1) / b;
+  auto ceil_div = [](std::uint32_t a, std::uint32_t b) -> std::uint32_t {
+    return a / b + (a % b != 0 ? 1 : 0);
   };
   return {ceil_div(r.clbs, arch::kClbsPerTile),
           ceil_div(r.brams, arch::kBramsPerTile),

@@ -104,6 +104,24 @@ TEST_F(CaseStudySchemes, SingleRegionWorstBelowModularWorst) {
   EXPECT_GT(se.total_frames, me.total_frames);
 }
 
+TEST(SingleRegionFootprint, ExactAtTheTopOf32Bits) {
+  // The largest tile-rounded CLB total the design rules admit, 4294967280:
+  // once as one mode, once as a configuration of two modules.
+  const Design one("one", {},
+                   {Module{"A", {{"Big", {4294967280u, 0, 0}},
+                                 {"Small", {0, 4, 0}}}}},
+                   {Configuration{"c1", {1}}, Configuration{"c2", {2}}});
+  EXPECT_EQ(single_region_footprint(one), ResourceVec(4294967280u, 4, 0));
+
+  const Design two(
+      "two", {},
+      {Module{"A", {{"A1", {2147483640u, 0, 0}}, {"A2", {0, 4, 0}}}},
+       Module{"B", {{"B1", {2147483640u, 0, 0}}, {"B2", {0, 4, 0}}}}},
+      {Configuration{"c1", {1, 1}}, Configuration{"c2", {2, 2}}});
+  EXPECT_EQ(two.largest_configuration_area(), ResourceVec(4294967280u, 8, 0));
+  EXPECT_EQ(single_region_footprint(two), ResourceVec(4294967280u, 8, 0));
+}
+
 TEST(PaperExampleSchemes, SingletonLookupFindsAllModes) {
   const Design d = paper_example();
   const ConnectivityMatrix m(d);

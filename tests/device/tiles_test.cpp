@@ -37,6 +37,16 @@ TEST(Tiles, TilesForZero) {
   EXPECT_EQ(frames_for({0, 0, 0}), 0u);
 }
 
+TEST(Tiles, TilesForCountsNearTheTopOf32Bits) {
+  // a + b - 1 taken at 32 bits would wrap these to 0 tiles.
+  const TileCount t = tiles_for({4294967280u, 4294967292u, 4294967288u});
+  EXPECT_EQ(t.clb_tiles, 214748364u);
+  EXPECT_EQ(t.bram_tiles, 1073741823u);
+  EXPECT_EQ(t.dsp_tiles, 536870911u);
+  EXPECT_EQ(t.resources(), ResourceVec(4294967280u, 4294967292u, 4294967288u));
+  EXPECT_EQ(tiles_for({4294967295u, 0, 0}).clb_tiles, 214748365u);
+}
+
 TEST(Tiles, FramesFollowEq6) {
   const TileCount t{3, 2, 1};
   EXPECT_EQ(t.frames(), 3u * 36 + 2u * 30 + 1u * 28);
