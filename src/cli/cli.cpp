@@ -8,6 +8,7 @@
 #include <fstream>
 #include <sstream>
 #include <thread>
+#include <type_traits>
 
 #include <sys/wait.h>
 #include <unistd.h>
@@ -62,12 +63,14 @@ usage:
                    [--top-k N] [--first-fit] [--no-anneal]
                    [--anneal-seed S] [--ucf FILE] [--json]
   prpart simulate <design.xml> [--device NAME | --budget C,B,D]
+                  [--candidate-sets N] [--evals N]
                   [--steps N] [--seed S] [--trace FILE | --uniform]
                   [--prefetch] [--arrival-ns N] [--idle-frames N]
                   [--floorplan] [--load FILE] [--rank] [--threads N] [--json]
   prpart bitstreams <design.xml> [--device NAME | --budget C,B,D]
-                    [--threads N] [--out DIR]
-  prpart flow <design.xml> [--device NAME] [--threads N] [--out DIR]
+                    [--candidate-sets N] [--evals N] [--threads N] [--out DIR]
+  prpart flow <design.xml> [--device NAME] [--candidate-sets N] [--evals N]
+              [--threads N] [--out DIR]
   prpart optimal <design.xml> [--device NAME | --budget C,B,D] [--states N]
   prpart serve [--port N] [--workers K] [--max-queue N] [--timeout MS]
                [--cache N] [--store DIR] [--store-entries N]
@@ -154,37 +157,66 @@ void write_file(const std::string& path, const std::string& content) {
   f << content;
 }
 
-ResourceVec parse_budget(const std::string& spec) {
-  const std::vector<std::string> parts = split(spec, ',');
-  if (parts.size() != 3)
-    throw ParseError("--budget expects CLBS,BRAMS,DSPS, got '" + spec + "'");
-  return {parse_u32(parts[0]), parse_u32(parts[1]), parse_u32(parts[2])};
-}
+/// Reads declared request fields from their CLI flags and checks their
+/// rules, as the wire's reader does. A field without a flag, or whose flag
+/// was not given, keeps its value.
+class FlagReader {
+ public:
+  explicit FlagReader(const Args& args) : args_(args) {}
 
-PartitionerOptions options_from(const Args& args) {
-  PartitionerOptions opt = server::default_partitioner_options();
-  opt.search.max_candidate_sets =
-      args.u64_or("candidate-sets", opt.search.max_candidate_sets);
-  opt.search.max_move_evaluations =
-      args.u64_or("evals", opt.search.max_move_evaluations);
-  // --threads N fans the search's work units over N workers; the default 0
-  // resolves to hardware concurrency and 1 runs inline. Any value returns
-  // byte-identical schemes (see DESIGN.md, parallel search).
-  opt.search.threads = static_cast<unsigned>(args.u64_or("threads", 0));
-  return opt;
-}
+  void operator()(const server::Field& f, std::string& s) const {
+    if (const auto v = value(f)) {
+      s = *v;
+      server::check_rule(f, dashed(f), s);
+    }
+  }
+  template <server::Count T>
+  void operator()(const server::Field& f, T& n) const {
+    if (const auto v = value(f)) {
+      n = static_cast<T>(parse_u64(*v));
+      server::check_rule(f, dashed(f), n);
+    }
+  }
+  void operator()(const server::Field& f, bool& b) const {
+    if (given(f.flag)) b = !b;
+  }
+  void operator()(const server::Field& f, std::optional<ResourceVec>& r) const {
+    const auto spec = value(f);
+    if (!spec) return;
+    const std::vector<std::string> parts = split(*spec, ',');
+    if (parts.size() != 3)
+      throw ParseError(dashed(f) + " expects CLBS,BRAMS,DSPS, got '" + *spec +
+                       "'");
+    r = ResourceVec{parse_u32(parts[0]), parse_u32(parts[1]),
+                    parse_u32(parts[2])};
+    server::check_excludes(f, "--", given(f.excludes));
+  }
 
-/// The --budget/--device target with the effort flags, as the job engine
-/// reads it. The two flags exclude each other, as on the wire.
-server::PartitionRequest target_from(const Args& args) {
-  server::PartitionRequest target;
-  target.options = options_from(args);
-  if (const auto budget = args.value("budget"))
-    target.budget = parse_budget(*budget);
-  if (const auto device = args.value("device")) target.device = *device;
-  if (!target.device.empty() && target.budget)
-    throw ParseError("--device and --budget are mutually exclusive");
-  return target;
+ private:
+  bool given(std::string_view flag) const {
+    return !flag.empty() && args_.has(std::string(flag));
+  }
+  std::optional<std::string> value(const server::Field& f) const {
+    if (f.flag.empty()) return std::nullopt;
+    return args_.value(std::string(f.flag));
+  }
+  static std::string dashed(const server::Field& f) {
+    return "--" + std::string(f.flag);
+  }
+
+  const Args& args_;
+};
+
+using RequestType = server::Request::Type;
+
+/// The request of `type` the flags describe; a field whose flag is absent
+/// keeps its request_defaults() value.
+server::Request request_from(const Args& args, RequestType type) {
+  server::Request request = server::request_defaults();
+  request.type = type;
+  const FlagReader read(args);
+  server::request_fields(type, read, request);
+  return request;
 }
 
 /// The design file named by the first positional. A problem in it is
@@ -202,7 +234,7 @@ Design read_design_arg(const Args& args) {
   }
 }
 
-int cmd_devices(std::ostream& out) {
+int cmd_devices(const Args&, std::ostream& out, std::ostream&) {
   const DeviceLibrary v5 = DeviceLibrary::virtex5();
   out << "Virtex-5 device library (smallest to largest):\n";
   for (const Device& d : v5.devices())
@@ -220,7 +252,8 @@ int cmd_devices(std::ostream& out) {
 /// conflicting pair is a usage error (exit 1), reported before any
 /// analysis runs.
 analysis::AnalysisOptions analysis_options_from(const Args& args) {
-  const server::PartitionRequest target = target_from(args);
+  const server::PartitionRequest target =
+      request_from(args, RequestType::Analyze).partition;
   analysis::AnalysisOptions opt;
   opt.budget = target.budget;
   if (!target.device.empty()) {
@@ -230,7 +263,7 @@ analysis::AnalysisOptions analysis_options_from(const Args& args) {
   return opt;
 }
 
-int cmd_analyze(const Args& args, std::ostream& out) {
+int cmd_analyze(const Args& args, std::ostream& out, std::ostream&) {
   const std::string& path = args.positionals().at(1);
   const analysis::SourceAnalysis sa =
       analysis::analyze_design_source(read_file(path),
@@ -246,7 +279,7 @@ int cmd_analyze(const Args& args, std::ostream& out) {
   return sa.has_errors() ? 4 : 0;
 }
 
-int cmd_estimate(const Args& args, std::ostream& out) {
+int cmd_estimate(const Args& args, std::ostream& out, std::ostream&) {
   synth::BehavioralSpec spec;
   spec.luts = static_cast<std::uint32_t>(args.u64_or("luts", 0));
   spec.ffs = static_cast<std::uint32_t>(args.u64_or("ffs", 0));
@@ -257,7 +290,7 @@ int cmd_estimate(const Args& args, std::ostream& out) {
   return 0;
 }
 
-int cmd_generate(const Args& args, std::ostream& out) {
+int cmd_generate(const Args& args, std::ostream& out, std::ostream&) {
   const std::uint64_t seed = args.u64_or("seed", 1);
   const std::string cls = args.value_or("class", "logic");
   CircuitClass circuit_class;
@@ -334,7 +367,8 @@ int cmd_partition(const Args& args, std::ostream& out, std::ostream& err) {
     throw ParseError("--json cannot be combined with --floorplan/--ucf");
   const Design design = read_design_arg(args);
   const DeviceLibrary lib = DeviceLibrary::extended();
-  const server::PartitionRequest target = target_from(args);
+  const server::PartitionRequest target =
+      request_from(args, RequestType::Partition).partition;
   // The server's admission pre-check: a provably hopeless explicit target
   // is rejected with the proof before any search runs. --json skips it and
   // prints the engine's `feasible: false` payload instead, where the server
@@ -424,22 +458,14 @@ int cmd_partition(const Args& args, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
-server::FloorplanParams floorplan_params_from(const Args& args) {
-  server::FloorplanParams p;
-  p.top_k = args.u64_or("top-k", 5);
-  if (p.top_k == 0) throw ParseError("--top-k must be positive");
-  p.first_fit = args.has("first-fit");
-  p.anneal = !args.has("no-anneal");
-  p.anneal_seed = args.u64_or("anneal-seed", 1);
-  return p;
-}
-
 int cmd_floorplan(const Args& args, std::ostream& out, std::ostream& err) {
   const bool json_out = args.has("json");
   const Design design = read_design_arg(args);
   const DeviceLibrary lib = DeviceLibrary::extended();
-  const server::FloorplanParams params = floorplan_params_from(args);
-  const server::TargetRun t = server::run_target(design, target_from(args), lib);
+  const server::FloorplanRequest job =
+      request_from(args, RequestType::Floorplan).floorplan;
+  const server::FloorplanParams& params = job.params;
+  const server::TargetRun t = server::run_target(design, job.partition, lib);
   if (!t.result.feasible) {
     if (json_out) {
       out << server::floorplan_result_json(design, t.result, {}, t.device_name,
@@ -526,16 +552,11 @@ int cmd_simulate(const Args& args, std::ostream& out, std::ostream& err) {
   const std::size_t n = design.configurations().size();
   if (n < 2) throw ParseError("simulation needs at least two configurations");
 
-  server::SimulateParams params;
-  params.steps = args.u64_or("steps", 100'000);
-  if (params.steps == 0) throw ParseError("--steps must be positive");
-  params.seed = args.u64_or("seed", 1);
-  params.prefetch = args.has("prefetch");
+  const server::SimulateRequest job =
+      request_from(args, RequestType::Simulate).simulate;
+  const server::SimulateParams& params = job.params;
   if (args.has("idle-frames") && !params.prefetch)
     throw ParseError("--idle-frames needs --prefetch");
-  params.uniform = args.has("uniform");
-  params.inter_arrival_ns = args.u64_or("arrival-ns", 0);
-  params.floorplan = args.has("floorplan");
   if (params.floorplan && args.value("load"))
     throw ParseError("--floorplan cannot be combined with --load");
 
@@ -563,8 +584,7 @@ int cmd_simulate(const Args& args, std::ostream& out, std::ostream& err) {
     schemes.push_back(std::move(scheme));
     evals.push_back(std::move(eval));
   } else {
-    const server::TargetRun t =
-        server::run_target(design, target_from(args), lib);
+    const server::TargetRun t = server::run_target(design, job.partition, lib);
     if (!t.result.feasible) {
       err << server::does_not_fit(design, t.budget) << "\n";
       return 2;
@@ -648,8 +668,7 @@ int cmd_simulate(const Args& args, std::ostream& out, std::ostream& err) {
   for (std::size_t i = 0; i < schemes.size(); ++i)
     refs.push_back(sim::SchemeRef{&schemes[i], &evals[i]});
   const std::vector<sim::SimulationResult> results = sim::simulate_schemes(
-      design, refs, trace, sopt,
-      static_cast<unsigned>(args.u64_or("threads", 0)));
+      design, refs, trace, sopt, job.partition.options.search.threads);
 
   std::vector<server::SimulatedScheme> rows;
   rows.reserve(schemes.size());
@@ -694,7 +713,8 @@ int cmd_simulate(const Args& args, std::ostream& out, std::ostream& err) {
 int cmd_bitstreams(const Args& args, std::ostream& out, std::ostream& err) {
   const Design design = read_design_arg(args);
   const DeviceLibrary lib = DeviceLibrary::extended();
-  const server::TargetRun t = server::run_target(design, target_from(args), lib);
+  const server::TargetRun t = server::run_target(
+      design, request_from(args, RequestType::Partition).partition, lib);
   if (!t.result.feasible) {
     err << server::does_not_fit(design, t.budget) << "\n";
     return 2;
@@ -722,13 +742,14 @@ int cmd_bitstreams(const Args& args, std::ostream& out, std::ostream& err) {
 int cmd_flow(const Args& args, std::ostream& out, std::ostream& err) {
   const Design design = read_design_arg(args);
   const DeviceLibrary lib = DeviceLibrary::extended();
-  const PartitionerOptions opt = options_from(args);
+  const server::PartitionRequest target =
+      request_from(args, RequestType::Partition).partition;
 
   FlowResult r;
-  if (const auto device = args.value("device")) {
-    r = run_flow(design, lib.by_name(*device), opt);
+  if (!target.device.empty()) {
+    r = run_flow(design, lib.by_name(target.device), target.options);
   } else {
-    r = run_flow_auto_device(design, lib, opt);
+    r = run_flow_auto_device(design, lib, target.options);
   }
   if (!r.success) {
     err << "flow failed: " << r.failure_reason << "\n";
@@ -764,7 +785,8 @@ int cmd_flow(const Args& args, std::ostream& out, std::ostream& err) {
 int cmd_optimal(const Args& args, std::ostream& out, std::ostream& err) {
   const Design design = read_design_arg(args);
   const DeviceLibrary lib = DeviceLibrary::extended();
-  const server::PartitionRequest target = target_from(args);
+  const server::PartitionRequest target =
+      request_from(args, RequestType::Analyze).partition;
   ResourceVec budget;
   if (target.budget) {
     budget = *target.budget;
@@ -892,7 +914,7 @@ int serve_sharded(server::ServerOptions opt, std::size_t shards,
   return code;
 }
 
-int cmd_serve(const Args& args, std::ostream& err) {
+int cmd_serve(const Args& args, std::ostream&, std::ostream& err) {
   server::ServerOptions opt;
   opt.port = static_cast<std::uint16_t>(args.u64_or("port", 9797));
   opt.workers = static_cast<unsigned>(args.u64_or("workers", 2));
@@ -954,10 +976,10 @@ std::string error_json(const server::ClientResponse& resp) {
 }
 
 int cmd_submit(const Args& args, std::ostream& out, std::ostream& err) {
-  server::PartitionRequest req = target_from(args);
+  server::PartitionRequest req =
+      request_from(args, RequestType::Partition).partition;
   req.id = args.value_or("id", "cli");
   req.design_xml = read_file(args.positionals().at(1));
-  req.timeout_ms = args.u64_or("timeout", 0);
 
   server::Client client = connect_client(args);
   const server::ClientResponse resp = client.submit(req);
@@ -1004,7 +1026,91 @@ int cmd_client_stats(const Args& args, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
+struct Command {
+  std::string name;
+  /// The request type whose declared fields it takes flags for, if any.
+  std::optional<RequestType> request;
+  std::vector<std::string> extras;  ///< its CLI-only flags
+  bool needs_design = false;
+  int (*run)(const Args&, std::ostream&, std::ostream&) = nullptr;
+  bool served = false;       ///< it also takes the served-only fields' flags
+  std::string without = {};  ///< a declared flag it refuses
+};
+
+const std::vector<Command>& commands() {
+  static const std::vector<Command> table = {
+      {"devices", {}, {}, false, cmd_devices},
+      {"analyze", RequestType::Analyze, {"json"}, true, cmd_analyze},
+      {"lint", RequestType::Analyze, {"json"}, true, cmd_analyze},
+      {"estimate", {}, {"luts", "ffs", "mults", "kbits", "distbits"}, false,
+       cmd_estimate},
+      {"generate", {}, {"seed", "class", "out"}, false, cmd_generate},
+      {"partition", RequestType::Partition,
+       {"floorplan", "ucf", "save", "search-stats", "json"}, true,
+       cmd_partition},
+      {"floorplan", RequestType::Floorplan, {"ucf", "json"}, true,
+       cmd_floorplan},
+      {"simulate", RequestType::Simulate,
+       {"load", "trace", "rank", "idle-frames", "json"}, true, cmd_simulate},
+      {"bitstreams", RequestType::Partition, {"out"}, true, cmd_bitstreams},
+      // run_flow takes a device or walks the library; it has no budget mode.
+      {"flow", RequestType::Partition, {"out"}, true, cmd_flow, false,
+       "budget"},
+      // The exact search takes a target but none of the greedy's effort.
+      {"optimal", RequestType::Analyze, {"states"}, true, cmd_optimal},
+      {"serve", {},
+       {"port", "workers", "max-queue", "high-watermark", "timeout", "cache",
+        "store", "store-entries", "job-threads", "io-workers", "max-inflight",
+        "log-interval", "shards"},
+       false, cmd_serve},
+      {"submit", RequestType::Partition, {"host", "port", "id", "json"}, true,
+       cmd_submit, true},
+      {"stats", {}, {"host", "port", "json"}, false, cmd_client_stats},
+  };
+  return table;
+}
+
+const Command* find_command(const std::string& name) {
+  for (const Command& c : commands())
+    if (c.name == name) return &c;
+  return nullptr;
+}
+
+std::vector<std::string> flags_of(const Command& command) {
+  std::vector<std::string> flags;
+  auto add = [&](const server::Field& f) {
+    if (!f.flag.empty() && f.flag != command.without &&
+        (command.served || !f.served))
+      flags.emplace_back(f.flag);
+  };
+  if (command.request) server::request_fields(*command.request, add);
+  flags.insert(flags.end(), command.extras.begin(), command.extras.end());
+  return flags;
+}
+
+/// Every flag that takes no value: the declared bool fields' switches and
+/// the CLI-only ones.
+std::vector<std::string> switch_flags() {
+  std::vector<std::string> switches = {"json", "search-stats", "rank",
+                                       "floorplan"};
+  auto add = [&](const server::Field& f, const auto& member) {
+    if constexpr (std::is_same_v<std::decay_t<decltype(member)>, bool>)
+      if (!f.flag.empty()) switches.emplace_back(f.flag);
+  };
+  for (const Command& c : commands())
+    if (c.request)
+      server::request_fields(*c.request, add, server::request_defaults());
+  return switches;
+}
+
 }  // namespace
+
+std::optional<std::vector<std::string>> command_flags(
+    const std::string& command) {
+  const Command* c = find_command(command);
+  if (!c) return std::nullopt;
+  return flags_of(*c);
+}
 
 int run(const std::vector<std::string>& args, std::ostream& out,
         std::ostream& err) {
@@ -1017,93 +1123,21 @@ int run(const std::vector<std::string>& args, std::ostream& out,
       out << "prpart 1.0.0\n";
       return 0;
     }
-    const Args parsed(args, {"floorplan", "prefetch", "json", "search-stats",
-                             "uniform", "rank", "first-fit", "no-anneal"});
+    const Args parsed(args, switch_flags());
     if (parsed.positionals().empty()) {
       err << "error: missing command\n" << kUsage;
       return 1;
     }
-    const std::string& command = parsed.positionals().front();
-
-    auto need_design = [&] {
-      if (parsed.positionals().size() < 2)
-        throw ParseError("command '" + command + "' expects a design file");
-    };
-
-    if (command == "devices") {
-      parsed.check_known({});
-      return cmd_devices(out);
+    const std::string& name = parsed.positionals().front();
+    const Command* command = find_command(name);
+    if (!command) {
+      err << "unknown command '" << name << "'\n" << kUsage;
+      return 1;
     }
-    if (command == "analyze" || command == "lint") {
-      parsed.check_known({"device", "budget", "json"});
-      need_design();
-      return cmd_analyze(parsed, out);
-    }
-    if (command == "estimate") {
-      parsed.check_known({"luts", "ffs", "mults", "kbits", "distbits"});
-      return cmd_estimate(parsed, out);
-    }
-    if (command == "generate") {
-      parsed.check_known({"seed", "class", "out"});
-      return cmd_generate(parsed, out);
-    }
-    if (command == "partition") {
-      parsed.check_known({"device", "budget", "candidate-sets", "evals",
-                          "threads", "floorplan", "ucf", "save",
-                          "search-stats", "json"});
-      need_design();
-      return cmd_partition(parsed, out, err);
-    }
-    if (command == "floorplan") {
-      parsed.check_known({"device", "budget", "candidate-sets", "evals",
-                          "threads", "top-k", "first-fit", "no-anneal",
-                          "anneal-seed", "ucf", "json"});
-      need_design();
-      return cmd_floorplan(parsed, out, err);
-    }
-    if (command == "simulate") {
-      parsed.check_known({"device", "budget", "candidate-sets", "evals",
-                          "threads", "steps", "seed", "prefetch", "load",
-                          "trace", "uniform", "rank", "arrival-ns",
-                          "idle-frames", "floorplan", "json"});
-      need_design();
-      return cmd_simulate(parsed, out, err);
-    }
-    if (command == "bitstreams") {
-      parsed.check_known(
-          {"device", "budget", "candidate-sets", "evals", "threads", "out"});
-      need_design();
-      return cmd_bitstreams(parsed, out, err);
-    }
-    if (command == "flow") {
-      parsed.check_known({"device", "candidate-sets", "evals", "threads", "out"});
-      need_design();
-      return cmd_flow(parsed, out, err);
-    }
-    if (command == "optimal") {
-      parsed.check_known({"device", "budget", "states"});
-      need_design();
-      return cmd_optimal(parsed, out, err);
-    }
-    if (command == "serve") {
-      parsed.check_known({"port", "workers", "max-queue", "high-watermark",
-                          "timeout", "cache", "store", "store-entries",
-                          "job-threads", "io-workers",
-                          "max-inflight", "log-interval", "shards"});
-      return cmd_serve(parsed, err);
-    }
-    if (command == "submit") {
-      parsed.check_known({"host", "port", "device", "budget", "candidate-sets",
-                          "evals", "threads", "timeout", "id", "json"});
-      need_design();
-      return cmd_submit(parsed, out, err);
-    }
-    if (command == "stats") {
-      parsed.check_known({"host", "port", "json"});
-      return cmd_client_stats(parsed, out, err);
-    }
-    err << "unknown command '" << command << "'\n" << kUsage;
-    return 1;
+    parsed.check_known(flags_of(*command));
+    if (command->needs_design && parsed.positionals().size() < 2)
+      throw ParseError("command '" + name + "' expects a design file");
+    return command->run(parsed, out, err);
   } catch (const std::exception& e) {
     // Every Error, and anything below it (std::out_of_range from a missing
     // positional, bad_alloc, ...), exits non-zero instead of aborting.

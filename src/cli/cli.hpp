@@ -1,5 +1,6 @@
 #pragma once
 
+#include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -7,33 +8,18 @@
 namespace prpart::cli {
 
 /// Entry point of the `prpart` command-line tool, separated from main() so
-/// the tests can drive it with captured streams.
-///
-/// Commands:
-///   prpart help
-///   prpart devices
-///   prpart analyze <design.xml> [--device NAME | --budget C,B,D] [--json]
-///                  (alias: lint)
-///   prpart estimate [--luts N] [--ffs N] [--mults N] [--kbits N]
-///                   [--distbits N]
-///   prpart generate [--seed S] [--class logic|memory|dsp|dspmem] [-out F]
-///   prpart partition <design.xml> [--device NAME | --budget C,B,D]
-///                    [--candidate-sets N] [--evals N]
-///                    [--floorplan] [--ucf FILE]
-///   prpart simulate <design.xml> [--device NAME | --budget C,B,D]
-///                   [--steps N] [--seed S] [--prefetch]
-///   prpart bitstreams <design.xml> [--device NAME | --budget C,B,D]
-///                     [--out DIR]
-///   prpart flow <design.xml> [--device NAME] [--out DIR]
-///   prpart optimal <design.xml> [--device NAME | --budget C,B,D]
-///                  [--states N]
-///
-/// `partition --save FILE` archives the chosen scheme; `simulate --load
-/// FILE` replays it without re-running the search.
+/// the tests can drive it with captured streams. `prpart help` prints the
+/// commands and their flags.
 ///
 /// Returns a process exit code (0 success, 1 user error, 2 infeasible;
 /// `analyze` exits 4 when any error-severity diagnostic fires).
 int run(const std::vector<std::string>& args, std::ostream& out,
         std::ostream& err);
+
+/// The flags (without "--") `prpart <command>` accepts: the declared request
+/// fields it takes (server/protocol.hpp) and its CLI-only ones. nullopt for
+/// an unknown command.
+std::optional<std::vector<std::string>> command_flags(
+    const std::string& command);
 
 }  // namespace prpart::cli

@@ -4,84 +4,39 @@
 
 namespace prpart::server {
 
-json::Value partition_request_json(const PartitionRequest& request) {
-  json::Value v = json::Value::object();
-  v.set("type", json::Value("partition"));
-  v.set("id", json::Value(request.id));
-  v.set("design_xml", json::Value(request.design_xml));
-  if (!request.device.empty()) v.set("device", json::Value(request.device));
-  if (request.budget) {
-    json::Value budget = json::Value::array();
-    budget.push_back(json::Value(static_cast<std::uint64_t>(request.budget->clbs)));
-    budget.push_back(json::Value(static_cast<std::uint64_t>(request.budget->brams)));
-    budget.push_back(json::Value(static_cast<std::uint64_t>(request.budget->dsps)));
-    v.set("budget", budget);
-  }
-  const PartitionerOptions defaults = default_partitioner_options();
-  if (request.options.search.max_candidate_sets !=
-      defaults.search.max_candidate_sets)
-    v.set("candidate_sets",
-          json::Value(static_cast<std::uint64_t>(
-              request.options.search.max_candidate_sets)));
-  if (request.options.search.max_move_evaluations !=
-      defaults.search.max_move_evaluations)
-    v.set("evals", json::Value(request.options.search.max_move_evaluations));
-  if (request.options.search.threads != 0)
-    v.set("threads", json::Value(static_cast<std::uint64_t>(
-                         request.options.search.threads)));
-  if (request.timeout_ms != 0)
-    v.set("timeout_ms", json::Value(request.timeout_ms));
-  return v;
+namespace {
+
+Request request_of(Request::Type type, const std::string& id) {
+  Request request;
+  request.type = type;
+  request.id = id;
+  return request;
 }
 
-json::Value analyze_request_json(const AnalyzeRequest& request) {
-  json::Value v = json::Value::object();
-  v.set("type", json::Value("analyze"));
-  v.set("id", json::Value(request.id));
-  v.set("design_xml", json::Value(request.design_xml));
-  if (!request.device.empty()) v.set("device", json::Value(request.device));
-  if (request.budget) {
-    json::Value budget = json::Value::array();
-    budget.push_back(json::Value(static_cast<std::uint64_t>(request.budget->clbs)));
-    budget.push_back(json::Value(static_cast<std::uint64_t>(request.budget->brams)));
-    budget.push_back(json::Value(static_cast<std::uint64_t>(request.budget->dsps)));
-    v.set("budget", budget);
-  }
-  return v;
+}  // namespace
+
+json::Value partition_request_json(const PartitionRequest& request) {
+  Request r = request_of(Request::Type::Partition, request.id);
+  r.partition = request;
+  return request_json(r);
+}
+
+json::Value analyze_request_json(const PartitionRequest& request) {
+  Request r = request_of(Request::Type::Analyze, request.id);
+  r.partition = request;
+  return request_json(r);
 }
 
 json::Value simulate_request_json(const SimulateRequest& request) {
-  // A simulate request is a partition request plus trace knobs; non-default
-  // knobs only, mirroring the partition builder.
-  json::Value v = partition_request_json(request.partition);
-  v.set("type", json::Value("simulate"));
-  const SimulateParams defaults;
-  if (request.params.steps != defaults.steps)
-    v.set("steps", json::Value(request.params.steps));
-  if (request.params.seed != defaults.seed)
-    v.set("seed", json::Value(request.params.seed));
-  if (request.params.prefetch) v.set("prefetch", json::Value(true));
-  if (request.params.uniform) v.set("uniform", json::Value(true));
-  if (request.params.inter_arrival_ns != 0)
-    v.set("inter_arrival_ns", json::Value(request.params.inter_arrival_ns));
-  if (request.params.floorplan) v.set("floorplan", json::Value(true));
-  return v;
+  Request r = request_of(Request::Type::Simulate, request.partition.id);
+  r.simulate = request;
+  return request_json(r);
 }
 
 json::Value floorplan_request_json(const FloorplanRequest& request) {
-  // A floorplan request is a partition request plus re-rank knobs;
-  // non-default knobs only, mirroring the other builders.
-  json::Value v = partition_request_json(request.partition);
-  v.set("type", json::Value("floorplan"));
-  const FloorplanParams defaults;
-  if (request.params.top_k != defaults.top_k)
-    v.set("top_k",
-          json::Value(static_cast<std::uint64_t>(request.params.top_k)));
-  if (request.params.first_fit) v.set("strategy", json::Value("first-fit"));
-  if (!request.params.anneal) v.set("anneal", json::Value(false));
-  if (request.params.anneal_seed != defaults.anneal_seed)
-    v.set("anneal_seed", json::Value(request.params.anneal_seed));
-  return v;
+  Request r = request_of(Request::Type::Floorplan, request.partition.id);
+  r.floorplan = request;
+  return request_json(r);
 }
 
 Client::Client(const std::string& host, std::uint16_t port)
@@ -91,7 +46,7 @@ ClientResponse Client::submit(const PartitionRequest& request) {
   return roundtrip(partition_request_json(request));
 }
 
-ClientResponse Client::analyze(const AnalyzeRequest& request) {
+ClientResponse Client::analyze(const PartitionRequest& request) {
   return roundtrip(analyze_request_json(request));
 }
 
@@ -104,25 +59,17 @@ ClientResponse Client::floorplan(const FloorplanRequest& request) {
 }
 
 ClientResponse Client::stats(const std::string& id) {
-  json::Value v = json::Value::object();
-  v.set("type", json::Value("stats"));
-  v.set("id", json::Value(id));
-  return roundtrip(v);
+  return roundtrip(request_json(request_of(Request::Type::Stats, id)));
 }
 
 ClientResponse Client::ping(const std::string& id) {
-  json::Value v = json::Value::object();
-  v.set("type", json::Value("ping"));
-  v.set("id", json::Value(id));
-  return roundtrip(v);
+  return roundtrip(request_json(request_of(Request::Type::Ping, id)));
 }
 
 ClientResponse Client::metrics(const std::string& id, bool text) {
-  json::Value v = json::Value::object();
-  v.set("type", json::Value("metrics"));
-  v.set("id", json::Value(id));
-  if (text) v.set("format", json::Value("text"));
-  return roundtrip(v);
+  Request request = request_of(Request::Type::Metrics, id);
+  request.metrics_text = text;
+  return roundtrip(request_json(request));
 }
 
 ClientResponse Client::roundtrip(const json::Value& request) {

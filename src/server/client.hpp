@@ -35,10 +35,10 @@ class Client {
   /// the server's default deadline.
   ClientResponse submit(const PartitionRequest& request);
 
-  /// Runs the static diagnostics engine over one design on the server.
-  /// Always ok (with diagnostics in the result) unless the request itself
-  /// is malformed.
-  ClientResponse analyze(const AnalyzeRequest& request);
+  /// Runs the static diagnostics engine over one design on the server; only
+  /// the target half of `request` is sent. Always ok (with diagnostics in
+  /// the result) unless the request itself is malformed.
+  ClientResponse analyze(const PartitionRequest& request);
 
   /// Partitions a design and replays a transition trace against the
   /// proposed scheme (docs/protocol.md, `simulate`).
@@ -75,11 +75,14 @@ class Client {
 };
 
 /// Builds the wire form of a partition request (shared by Client::submit
-/// and the tests that drive a raw socket).
+/// and the tests that drive a raw socket). Like the three below, it is
+/// derived from the field declarations in protocol.hpp and sends only the
+/// fields that differ from the server's defaults.
 json::Value partition_request_json(const PartitionRequest& request);
 
-/// Builds the wire form of an analyze request.
-json::Value analyze_request_json(const AnalyzeRequest& request);
+/// Builds the wire form of an analyze request: the target half of
+/// `request`.
+json::Value analyze_request_json(const PartitionRequest& request);
 
 /// Builds the wire form of a simulate request.
 json::Value simulate_request_json(const SimulateRequest& request);

@@ -109,47 +109,144 @@ std::uint32_t parse_res_component(const json::Value& v) {
   return static_cast<std::uint32_t>(raw);
 }
 
-/// Rejects request fields outside `known`, mirroring Args::check_known on
-/// the CLI.
-template <std::size_t N>
-void check_known_fields(const json::Value& doc, const char* (&known)[N]) {
+/// The word a field with choices spells `value` as.
+std::string_view choice_name(const Field& field, bool value) {
+  for (const Choice& c : field.choices)
+    if (c.value == value) return c.name;
+  throw Error("field '" + std::string(field.wire) + "' spells no " +
+              (value ? "true" : "false") + " value");
+}
+
+/// The value a field with choices spells as `word`.
+bool choice_value(const Field& field, const std::string& word) {
+  std::string words;
+  for (const Choice& c : field.choices) {
+    if (word == c.name) return c.value;
+    words += words.empty() ? "'" : " or '";
+    words += c.name;
+    words += '\'';
+  }
+  throw ParseError(std::string(field.wire) + " must be " + words);
+}
+
+constexpr const char* kTypeNames[] = {"partition", "analyze", "simulate",
+                                      "floorplan", "stats",   "ping",
+                                      "metrics"};
+
+/// Reads declared fields out of one request object and checks their rules.
+/// Lookups take the declaration's string_views, so a field costs no heap
+/// work unless it is present or wrong.
+class WireReader {
+ public:
+  explicit WireReader(const json::Value& doc) : doc_(doc) {}
+
+  void operator()(const Field& f, std::string& s) const {
+    if (const json::Value* v = find(f)) {
+      s = v->as_string();
+      check_rule(f, f.wire, s);
+    }
+  }
+  template <Count T>
+  void operator()(const Field& f, T& n) const {
+    if (const json::Value* v = find(f)) {
+      n = static_cast<T>(v->as_u64());
+      check_rule(f, f.wire, n);
+    }
+  }
+  void operator()(const Field& f, bool& b) const {
+    if (const json::Value* v = find(f))
+      b = f.choices.empty() ? v->as_bool() : choice_value(f, v->as_string());
+  }
+  void operator()(const Field& f, std::optional<ResourceVec>& r) const {
+    const json::Value* v = find(f);
+    if (!v) return;
+    const auto& items = v->items();
+    if (items.size() != 3)
+      throw ParseError(std::string(f.wire) +
+                       " must be a [clbs, brams, dsps] triple");
+    r = ResourceVec{parse_res_component(items[0]),
+                    parse_res_component(items[1]),
+                    parse_res_component(items[2])};
+    check_excludes(f, "", !f.excludes.empty() && doc_.find(f.excludes));
+  }
+
+ private:
+  const json::Value* find(const Field& f) const {
+    return f.rule == Rule::kRequired ? &doc_.at(f.wire) : doc_.find(f.wire);
+  }
+
+  const json::Value& doc_;
+};
+
+/// Emits each declared field whose value differs from its default, and
+/// each required one: the line carries what the server cannot assume.
+class WireWriter {
+ public:
+  explicit WireWriter(json::Value& out) : out_(out) {}
+
+  void operator()(const Field& f, const std::string& s, const std::string& d) {
+    if (s != d || f.rule == Rule::kRequired) set(f, json::Value(s));
+  }
+  template <Count T>
+  void operator()(const Field& f, const T& n, const T& d) {
+    if (n != d) set(f, json::Value(static_cast<std::uint64_t>(n)));
+  }
+  void operator()(const Field& f, bool b, bool d) {
+    if (b == d) return;
+    set(f, f.choices.empty() ? json::Value(b)
+                             : json::Value(std::string(choice_name(f, b))));
+  }
+  void operator()(const Field& f, const std::optional<ResourceVec>& r,
+                  const std::optional<ResourceVec>& d) {
+    if (r && r != d) set(f, resources_array(*r));
+  }
+
+ private:
+  static json::Value resources_array(const ResourceVec& r) {
+    json::Value triple = json::Value::array();
+    for (const std::uint32_t n : {r.clbs, r.brams, r.dsps})
+      triple.push_back(json::Value(static_cast<std::uint64_t>(n)));
+    return triple;
+  }
+  void set(const Field& f, json::Value v) {
+    out_.set(std::string(f.wire), std::move(v));
+  }
+
+  json::Value& out_;
+};
+
+/// Rejects request fields `type` does not declare, mirroring
+/// Args::check_known on the CLI.
+void check_known_fields(const json::Value& doc, Request::Type type) {
   for (const auto& [key, value] : doc.members()) {
     (void)value;
-    if (std::find_if(std::begin(known), std::end(known), [&](const char* k) {
-          return key == k;
-        }) == std::end(known))
-      throw ParseError("unknown request field '" + key + "'");
+    if (key == "type" || key == "id") continue;
+    bool known = false;
+    auto match = [&](const Field& f) { known = known || f.wire == key; };
+    request_fields(type, match);
+    if (!known) throw ParseError("unknown request field '" + key + "'");
   }
 }
 
-/// The design/target/effort/timeout core shared by partition and simulate
-/// requests (the known-field check stays with each request type).
-void parse_partition_fields(const json::Value& doc, PartitionRequest& p) {
-  p.options = default_partitioner_options();
-  p.design_xml = doc.at("design_xml").as_string();
-  if (p.design_xml.empty()) throw ParseError("design_xml must not be empty");
-  if (const json::Value* device = doc.find("device")) {
-    p.device = device->as_string();
-    if (p.device.empty()) throw ParseError("device must not be empty");
+/// Appends ` cache=value` for every answer-changing field a group visits.
+struct CacheStringWriter {
+  std::string out;
+
+  void append(const Field& f, std::string_view value) {
+    if (f.cache.empty()) return;
+    out += ' ';
+    out += f.cache;
+    out += '=';
+    out += value;
   }
-  if (const json::Value* budget = doc.find("budget")) {
-    const auto& items = budget->items();
-    if (items.size() != 3)
-      throw ParseError("budget must be a [clbs, brams, dsps] triple");
-    p.budget = ResourceVec{parse_res_component(items[0]),
-                           parse_res_component(items[1]),
-                           parse_res_component(items[2])};
+  template <Count T>
+  void operator()(const Field& f, const T& n) {
+    append(f, std::to_string(n));
   }
-  if (!p.device.empty() && p.budget)
-    throw ParseError("device and budget are mutually exclusive");
-  if (const json::Value* v = doc.find("candidate_sets"))
-    p.options.search.max_candidate_sets = v->as_u64();
-  if (const json::Value* v = doc.find("evals"))
-    p.options.search.max_move_evaluations = v->as_u64();
-  if (const json::Value* v = doc.find("threads"))
-    p.options.search.threads = static_cast<unsigned>(v->as_u64());
-  if (const json::Value* v = doc.find("timeout_ms")) p.timeout_ms = v->as_u64();
-}
+  void operator()(const Field& f, bool b) {
+    append(f, f.choices.empty() ? (b ? "1" : "0") : choice_name(f, b));
+  }
+};
 
 }  // namespace
 
@@ -172,20 +269,57 @@ std::string PartitionRequest::target_string() const {
   return "auto";
 }
 
+void check_rule(const Field& field, std::string_view name,
+                std::string_view value) {
+  if (value.empty() &&
+      (field.rule == Rule::kRequired || field.rule == Rule::kNonEmpty))
+    throw ParseError(std::string(name) + " must not be empty");
+}
+
+void check_rule(const Field& field, std::string_view name,
+                std::uint64_t value) {
+  if (value == 0 && field.rule == Rule::kPositive)
+    throw ParseError(std::string(name) + " must be positive");
+}
+
+void check_excludes(const Field& field, std::string_view prefix,
+                    bool other_given) {
+  if (other_given)
+    throw ParseError(std::string(prefix) + std::string(field.excludes) +
+                     " and " + std::string(prefix) + std::string(field.wire) +
+                     " are mutually exclusive");
+}
+
+const Request& request_defaults() {
+  static const Request defaults = [] {
+    Request r;
+    for (PartitionRequest* p : {&r.partition, &r.simulate.partition,
+                                &r.floorplan.partition})
+      p->options = default_partitioner_options();
+    return r;
+  }();
+  return defaults;
+}
+
+std::string job_target(const PartitionRequest& request,
+                       const std::optional<SimulateParams>& simulate,
+                       const std::optional<FloorplanParams>& floorplan) {
+  std::string target = request.target_string();
+  if (simulate) target += ";" + simulate->cache_string();
+  if (floorplan) target += ";" + floorplan->cache_string();
+  return target;
+}
+
 std::string SimulateParams::cache_string() const {
-  return "simulate steps=" + std::to_string(steps) +
-         " seed=" + std::to_string(seed) +
-         " prefetch=" + (prefetch ? "1" : "0") +
-         " uniform=" + (uniform ? "1" : "0") +
-         " arrival=" + std::to_string(inter_arrival_ns) +
-         " floorplan=" + (floorplan ? "1" : "0");
+  CacheStringWriter w{"simulate"};
+  fields(w, *this);
+  return w.out;
 }
 
 std::string FloorplanParams::cache_string() const {
-  return "floorplan top_k=" + std::to_string(top_k) +
-         " strategy=" + (first_fit ? "first-fit" : "best-fit") +
-         " anneal=" + (anneal ? "1" : "0") +
-         " anneal_seed=" + std::to_string(anneal_seed);
+  CacheStringWriter w{"floorplan"};
+  fields(w, *this);
+  return w.out;
 }
 
 FloorplanRerankOptions FloorplanParams::rerank_options() const {
@@ -209,130 +343,34 @@ Request parse_request(const std::string& line) {
   const json::Value doc = json::parse(line);
   if (!doc.is_object()) throw ParseError("request must be a JSON object");
 
-  Request req;
+  Request req = request_defaults();
   if (const json::Value* id = doc.find("id")) req.id = id->as_string();
 
   const std::string& type = doc.at("type").as_string();
-  if (type == "stats") {
-    req.type = Request::Type::Stats;
-    return req;
-  }
-  if (type == "ping") {
-    req.type = Request::Type::Ping;
-    return req;
-  }
-  if (type == "metrics") {
-    req.type = Request::Type::Metrics;
-    static const char* known[] = {"type", "id", "format"};
-    check_known_fields(doc, known);
-    if (const json::Value* format = doc.find("format")) {
-      const std::string& f = format->as_string();
-      if (f == "text")
-        req.metrics_text = true;
-      else if (f != "json")
-        throw ParseError("format must be 'json' or 'text'");
-    }
-    return req;
-  }
-  if (type == "analyze") {
-    req.type = Request::Type::Analyze;
-    AnalyzeRequest& a = req.analyze;
-    a.id = req.id;
-    static const char* known[] = {"type", "id", "design_xml", "device",
-                                  "budget"};
-    for (const auto& [key, value] : doc.members()) {
-      (void)value;
-      if (std::find_if(std::begin(known), std::end(known), [&](const char* k) {
-            return key == k;
-          }) == std::end(known))
-        throw ParseError("unknown request field '" + key + "'");
-    }
-    a.design_xml = doc.at("design_xml").as_string();
-    if (a.design_xml.empty()) throw ParseError("design_xml must not be empty");
-    if (const json::Value* device = doc.find("device")) {
-      a.device = device->as_string();
-      if (a.device.empty()) throw ParseError("device must not be empty");
-    }
-    if (const json::Value* budget = doc.find("budget")) {
-      const auto& items = budget->items();
-      if (items.size() != 3)
-        throw ParseError("budget must be a [clbs, brams, dsps] triple");
-      a.budget = ResourceVec{parse_res_component(items[0]),
-                             parse_res_component(items[1]),
-                             parse_res_component(items[2])};
-    }
-    if (!a.device.empty() && a.budget)
-      throw ParseError("device and budget are mutually exclusive");
-    return req;
-  }
-  if (type == "simulate") {
-    req.type = Request::Type::Simulate;
-    SimulateRequest& s = req.simulate;
-    s.partition.id = req.id;
-    static const char* known[] = {
-        "type",    "id",         "design_xml", "device",
-        "budget",  "candidate_sets", "evals",  "threads",
-        "timeout_ms", "steps",   "seed",       "prefetch",
-        "uniform", "inter_arrival_ns", "floorplan"};
-    check_known_fields(doc, known);
-    parse_partition_fields(doc, s.partition);
-    if (const json::Value* v = doc.find("steps")) {
-      s.params.steps = v->as_u64();
-      if (s.params.steps == 0) throw ParseError("steps must be positive");
-    }
-    if (const json::Value* v = doc.find("seed")) s.params.seed = v->as_u64();
-    if (const json::Value* v = doc.find("prefetch"))
-      s.params.prefetch = v->as_bool();
-    if (const json::Value* v = doc.find("uniform"))
-      s.params.uniform = v->as_bool();
-    if (const json::Value* v = doc.find("inter_arrival_ns"))
-      s.params.inter_arrival_ns = v->as_u64();
-    if (const json::Value* v = doc.find("floorplan"))
-      s.params.floorplan = v->as_bool();
-    return req;
-  }
-  if (type == "floorplan") {
-    req.type = Request::Type::Floorplan;
-    FloorplanRequest& f = req.floorplan;
-    f.partition.id = req.id;
-    static const char* known[] = {
-        "type",   "id",     "design_xml",     "device",
-        "budget", "candidate_sets", "evals",  "threads",
-        "timeout_ms", "top_k", "strategy", "anneal", "anneal_seed"};
-    check_known_fields(doc, known);
-    parse_partition_fields(doc, f.partition);
-    if (const json::Value* v = doc.find("top_k")) {
-      f.params.top_k = v->as_u64();
-      if (f.params.top_k == 0) throw ParseError("top_k must be positive");
-    }
-    if (const json::Value* v = doc.find("strategy")) {
-      const std::string& s = v->as_string();
-      if (s == "first-fit")
-        f.params.first_fit = true;
-      else if (s == "best-fit")
-        f.params.first_fit = false;
-      else
-        throw ParseError("strategy must be 'first-fit' or 'best-fit'");
-    }
-    if (const json::Value* v = doc.find("anneal"))
-      f.params.anneal = v->as_bool();
-    if (const json::Value* v = doc.find("anneal_seed"))
-      f.params.anneal_seed = v->as_u64();
-    return req;
-  }
-  if (type != "partition") throw ParseError("unknown request type '" + type + "'");
-
-  req.type = Request::Type::Partition;
-  PartitionRequest& p = req.partition;
-  p.id = req.id;
-
+  const auto* name = std::find(std::begin(kTypeNames), std::end(kTypeNames),
+                               std::string_view(type));
+  if (name == std::end(kTypeNames))
+    throw ParseError("unknown request type '" + type + "'");
+  req.type = static_cast<Request::Type>(name - std::begin(kTypeNames));
   // Unknown fields fail loudly, mirroring Args::check_known on the CLI.
-  static const char* known[] = {"type",    "id",      "design_xml",
-                                "device",  "budget",  "candidate_sets",
-                                "evals",   "threads", "timeout_ms"};
-  check_known_fields(doc, known);
-  parse_partition_fields(doc, p);
+  check_known_fields(doc, req.type);
+
+  for (PartitionRequest* p :
+       {&req.partition, &req.simulate.partition, &req.floorplan.partition})
+    p->id = req.id;
+  const WireReader read(doc);
+  request_fields(req.type, read, req);
   return req;
+}
+
+json::Value request_json(const Request& request) {
+  json::Value v = json::Value::object();
+  v.set("type",
+        json::Value(kTypeNames[static_cast<std::size_t>(request.type)]));
+  v.set("id", json::Value(request.id));
+  WireWriter write(v);
+  request_fields(request.type, write, request, request_defaults());
+  return v;
 }
 
 json::Value partition_result_json(const Design& design,

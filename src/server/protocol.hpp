@@ -1,7 +1,10 @@
 #pragma once
 
+#include <concepts>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 
 #include "core/partitioner.hpp"
 #include "design/design.hpp"
@@ -24,7 +27,70 @@ enum class ErrorCode {
 
 const char* error_code_name(ErrorCode code);
 
-/// One `partition` job as received on the wire.
+/// How a declared request field is checked. The wire and the CLI raise the
+/// same error text, spelled with the field's wire name or its `--flag`.
+enum class Rule {
+  kNone,
+  kRequired,  ///< a string that must be present and non-empty (the CLI
+              ///< takes these as positionals, not flags)
+  kNonEmpty,  ///< a string that may be absent but not empty
+  kPositive,  ///< a count that must be at least 1
+};
+
+/// One word a bool field is spelled as on the wire and in the cache key.
+struct Choice {
+  std::string_view name;
+  bool value = false;
+};
+
+inline constexpr Choice kStrategyChoices[] = {{"first-fit", true},
+                                              {"best-fit", false}};
+inline constexpr Choice kFormatChoices[] = {{"json", false}, {"text", true}};
+
+/// One request field, declared once. The wire parser, the Client encoder,
+/// the CLI's flags and the cache strings all derive from these entries
+/// (DESIGN.md, "One request schema").
+///
+/// A group of fields is a `static void *fields(V& v, R&... r)` template
+/// whose entries each call `v(field, r.member...)`, so a visitor sees the
+/// members of no request (names only), one (parse, cache string) or two
+/// (encode against the defaults, compare). A member is a std::string, a
+/// Count, a bool or a std::optional<ResourceVec>. A bool field's CLI flag
+/// is a switch that turns its default over.
+struct Field {
+  std::string_view wire = {};  ///< JSON member name
+  std::string_view flag = {};  ///< CLI flag without "--"; empty = wire only
+  /// Name in the job's cache key; empty = the field does not change the
+  /// answer. cache_string() prints `cache=value` for the params halves; the
+  /// partition half reaches the key through target_string() and
+  /// job_cache_key, whose pinned formats are their own.
+  std::string_view cache = {};
+  Rule rule = Rule::kNone;
+  /// A bool sent as one of these words, listed as its error lists them.
+  std::span<const Choice> choices = {};
+  /// A field this one cannot be given with (its wire name and its flag).
+  std::string_view excludes = {};
+  bool served = false;  ///< read by served jobs only: `submit` alone takes
+                        ///< its flag
+};
+
+/// An unsigned count member of a request (a bool is not one).
+template <class T>
+concept Count = std::unsigned_integral<T> &&
+                !std::same_as<std::remove_cv_t<T>, bool>;
+
+/// The checks both sides share, so both raise the same text: `name` spells
+/// the field ("steps" on the wire, "--steps" on the CLI). check_excludes
+/// throws when `other_given`; `prefix` is "" or "--".
+void check_rule(const Field& field, std::string_view name,
+                std::string_view value);
+void check_rule(const Field& field, std::string_view name,
+                std::uint64_t value);
+void check_excludes(const Field& field, std::string_view prefix,
+                    bool other_given);
+
+/// One `partition` job as received on the wire. `analyze` jobs use its
+/// target half alone.
 struct PartitionRequest {
   std::string id;          ///< client-chosen correlation id, echoed back
   std::string design_xml;  ///< the design in the tool's XML input format
@@ -37,16 +103,34 @@ struct PartitionRequest {
   /// Target identity for the cache key: "device <name>", "budget c,b,d" or
   /// "auto" (smallest-device walk).
   std::string target_string() const;
-};
 
-/// One `analyze` job: run the static diagnostics engine over a design
-/// without partitioning it. Served inline (no queue slot): analysis is
-/// orders of magnitude cheaper than a search.
-struct AnalyzeRequest {
-  std::string id;
-  std::string design_xml;
-  std::string device;                 ///< named target device; "" = none
-  std::optional<ResourceVec> budget;  ///< explicit budget; excludes device
+  /// The target half: the design and what it must fit.
+  template <class V, class... R>
+  static void target_fields(V& v, R&... r) {
+    v(Field{.wire = "design_xml", .cache = "design", .rule = Rule::kRequired},
+      r.design_xml...);
+    v(Field{.wire = "device", .flag = "device", .cache = "device",
+            .rule = Rule::kNonEmpty},
+      r.device...);
+    v(Field{.wire = "budget", .flag = "budget", .cache = "budget",
+            .excludes = "device"},
+      r.budget...);
+  }
+
+  /// The effort half: the search's knobs and the job's deadline. Any
+  /// thread count returns byte-identical schemes, so `threads` stays out
+  /// of the key.
+  template <class V, class... R>
+  static void effort_fields(V& v, R&... r) {
+    v(Field{.wire = "candidate_sets", .flag = "candidate-sets",
+            .cache = "candidate_sets"},
+      r.options.search.max_candidate_sets...);
+    v(Field{.wire = "evals", .flag = "evals", .cache = "evals"},
+      r.options.search.max_move_evaluations...);
+    v(Field{.wire = "threads", .flag = "threads"}, r.options.search.threads...);
+    v(Field{.wire = "timeout_ms", .flag = "timeout", .served = true},
+      r.timeout_ms...);
+  }
 };
 
 /// Simulation knobs of a `simulate` job, shared verbatim between the server
@@ -64,6 +148,23 @@ struct SimulateParams {
 
   /// Canonical form folded into the job cache key next to the target.
   std::string cache_string() const;
+
+  template <class V, class... P>
+  static void fields(V& v, P&... p) {
+    v(Field{.wire = "steps", .flag = "steps", .cache = "steps",
+            .rule = Rule::kPositive},
+      p.steps...);
+    v(Field{.wire = "seed", .flag = "seed", .cache = "seed"}, p.seed...);
+    v(Field{.wire = "prefetch", .flag = "prefetch", .cache = "prefetch"},
+      p.prefetch...);
+    v(Field{.wire = "uniform", .flag = "uniform", .cache = "uniform"},
+      p.uniform...);
+    v(Field{.wire = "inter_arrival_ns", .flag = "arrival-ns",
+            .cache = "arrival"},
+      p.inter_arrival_ns...);
+    v(Field{.wire = "floorplan", .flag = "floorplan", .cache = "floorplan"},
+      p.floorplan...);
+  }
 };
 
 /// One `simulate` job: partition the design (exactly as a `partition` job
@@ -87,6 +188,21 @@ struct FloorplanParams {
   std::string cache_string() const;
   /// The same knobs in the floorplan subsystem's vocabulary.
   FloorplanRerankOptions rerank_options() const;
+
+  template <class V, class... P>
+  static void fields(V& v, P&... p) {
+    v(Field{.wire = "top_k", .flag = "top-k", .cache = "top_k",
+            .rule = Rule::kPositive},
+      p.top_k...);
+    v(Field{.wire = "strategy", .flag = "first-fit", .cache = "strategy",
+            .choices = kStrategyChoices},
+      p.first_fit...);
+    v(Field{.wire = "anneal", .flag = "no-anneal", .cache = "anneal"},
+      p.anneal...);
+    v(Field{.wire = "anneal_seed", .flag = "anneal-seed",
+            .cache = "anneal_seed"},
+      p.anneal_seed...);
+  }
 };
 
 /// One `floorplan` job: partition the design (exactly as a `partition` job
@@ -109,17 +225,62 @@ struct Request {
   };
   Type type = Type::Ping;
   std::string id;
-  PartitionRequest partition;  ///< meaningful when type == Partition
-  AnalyzeRequest analyze;      ///< meaningful when type == Analyze
+  /// Partition: the whole job. Analyze: its target half.
+  PartitionRequest partition;
   SimulateRequest simulate;    ///< meaningful when type == Simulate
   FloorplanRequest floorplan;  ///< meaningful when type == Floorplan
   bool metrics_text = false;   ///< Metrics: text exposition format requested
+
+  template <class V, class... R>
+  static void metrics_fields(V& v, R&... r) {
+    v(Field{.wire = "format", .choices = kFormatChoices}, r.metrics_text...);
+  }
 };
+
+/// Visits every field a request of `type` declares, in wire order, with
+/// its member in each of `q` (none: names only).
+template <class V, class... Q>
+void request_fields(Request::Type type, V& v, Q&... q) {
+  switch (type) {
+    case Request::Type::Stats:
+    case Request::Type::Ping:
+      return;
+    case Request::Type::Metrics:
+      return Request::metrics_fields(v, q...);
+    case Request::Type::Analyze:
+      return PartitionRequest::target_fields(v, q.partition...);
+    case Request::Type::Partition:
+      PartitionRequest::target_fields(v, q.partition...);
+      return PartitionRequest::effort_fields(v, q.partition...);
+    case Request::Type::Simulate:
+      PartitionRequest::target_fields(v, q.simulate.partition...);
+      PartitionRequest::effort_fields(v, q.simulate.partition...);
+      return SimulateParams::fields(v, q.simulate.params...);
+    case Request::Type::Floorplan:
+      PartitionRequest::target_fields(v, q.floorplan.partition...);
+      PartitionRequest::effort_fields(v, q.floorplan.partition...);
+      return FloorplanParams::fields(v, q.floorplan.params...);
+  }
+}
+
+/// Every field at its default, with default_partitioner_options() as each
+/// job's effort: what a request assumes for a field it leaves out.
+const Request& request_defaults();
+
+/// The target part of a job's cache key: target_string(), then the
+/// cache_string() of the job's params half, if it has one, after a ';'.
+std::string job_target(const PartitionRequest& request,
+                       const std::optional<SimulateParams>& simulate,
+                       const std::optional<FloorplanParams>& floorplan);
 
 /// Parses one newline-delimited request. Throws ParseError on malformed
 /// JSON, an unknown `type`, conflicting target fields or bad option values;
 /// the server maps that to a `bad_request` response.
 Request parse_request(const std::string& line);
+
+/// The wire form of `request`: `type`, `id`, then every declared field that
+/// differs from request_defaults() (a required one always).
+json::Value request_json(const Request& request);
 
 /// Effort defaults shared by `prpart partition`, `prpart submit` and the
 /// server, so the same submission produces the same work everywhere.

@@ -210,7 +210,7 @@ void Server::handle_line(std::uint64_t token, const std::string& line) {
         reactor_->post_final(token, metrics_response(request));
         return;
       case Request::Type::Analyze:
-        reactor_->post_final(token, handle_analyze(request.analyze));
+        reactor_->post_final(token, handle_analyze(request.partition));
         return;
       case Request::Type::Partition:
         admit_job(token, std::move(request.partition), std::nullopt,
@@ -241,7 +241,7 @@ void Server::handle_line(std::uint64_t token, const std::string& line) {
   }
 }
 
-std::string Server::handle_analyze(const AnalyzeRequest& request) {
+std::string Server::handle_analyze(const PartitionRequest& request) {
   // Served inline on the admission thread: the diagnostics engine costs
   // milliseconds, so it never competes with partition jobs for queue slots.
   // An unknown device is the client's fault (bad_request, thrown by
@@ -289,10 +289,8 @@ void Server::admit_job(std::uint64_t token, PartitionRequest request,
   // Simulate and floorplan jobs are cached next to partition jobs: both
   // stages are pure functions of (design, target, options, params), so the
   // params extend the target identity in the key.
-  std::string target = request.target_string();
-  if (simulate) target += ";" + simulate->cache_string();
-  if (floorplan) target += ";" + floorplan->cache_string();
-  const std::string key = job_cache_key(design, target, request.options);
+  const std::string key = job_cache_key(
+      design, job_target(request, simulate, floorplan), request.options);
   if (std::optional<std::string> hit = store_.lookup(key)) {
     stats_.cache_hit(latency_us_since(submit_ns));
     if (!line_key.empty()) line_cache_.store(line_key, *hit);

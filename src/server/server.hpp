@@ -163,7 +163,7 @@ class Server {
   /// time.
   void worker_loop();
   void logger_loop();
-  std::string handle_analyze(const AnalyzeRequest& request);
+  std::string handle_analyze(const PartitionRequest& request);
   /// Shared admission path of partition, simulate and floorplan jobs:
   /// pre-checks, result-store lookup, queue admission. Posts the final
   /// response to `token` inline for store hits, provable infeasibility and

@@ -6,6 +6,9 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <regex>
+#include <set>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -59,6 +62,40 @@ TEST_F(CliTest, HelpPrintsUsage) {
   EXPECT_EQ(r.code, 0);
   EXPECT_NE(r.out.find("usage:"), std::string::npos);
   EXPECT_NE(r.out.find("partition"), std::string::npos);
+}
+
+TEST_F(CliTest, UsageRowsNameExactlyTheFlagsEachCommandAccepts) {
+  // Each `  prpart <command> ...` row of the usage, with its indented
+  // continuation lines, must list every flag the command accepts and no
+  // other.
+  const std::string usage = invoke({"help"}).out;
+  std::map<std::string, std::set<std::string>> rows;
+  std::istringstream lines(usage.substr(usage.find("usage:")));
+  std::string line;
+  std::string command;
+  std::getline(lines, line);
+  while (std::getline(lines, line) && !line.empty()) {
+    if (line.rfind("  prpart ", 0) == 0) {
+      command = line.substr(9, line.find(' ', 9) - 9);
+      rows[command];
+    }
+    static const std::regex flag("--([a-z][a-z0-9-]*)");
+    for (std::sregex_iterator it(line.begin(), line.end(), flag), end;
+         it != end; ++it)
+      rows[command].insert((*it)[1]);
+  }
+  for (const char* name :
+       {"devices", "analyze", "estimate", "generate", "partition", "floorplan",
+        "simulate", "bitstreams", "flow", "optimal", "serve", "submit",
+        "stats"})
+    EXPECT_TRUE(rows.count(name)) << "no usage row for " << name;
+  for (const auto& [name, flags] : rows) {
+    if (name == "version") continue;  // answered before any flag is parsed
+    const auto accepted = command_flags(name);
+    ASSERT_TRUE(accepted) << name;
+    EXPECT_EQ(flags, std::set<std::string>(accepted->begin(), accepted->end()))
+        << "usage row of " << name;
+  }
 }
 
 TEST_F(CliTest, NoArgsPrintsUsage) {

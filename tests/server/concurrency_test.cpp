@@ -89,7 +89,7 @@ TEST(ServerConcurrencyTest, MixedJobHammerKeepsCountersConsistent) {
 
       // Inline paths exercise the stats mutex from the handler threads
       // without touching the queue.
-      AnalyzeRequest an;
+      PartitionRequest an;
       an.id = "an-" + tag;
       an.design_xml = design_to_xml(small_design());
       if (client.analyze(an).ok) oks.fetch_add(1);

@@ -80,25 +80,25 @@ TEST(ProtocolTest, AnalyzeRequestParses) {
   const Request r = parse_request(
       "{\"type\":\"analyze\",\"id\":\"a1\",\"design_xml\":\"<x/>\"}");
   ASSERT_EQ(r.type, Request::Type::Analyze);
-  EXPECT_EQ(r.analyze.id, "a1");
-  EXPECT_EQ(r.analyze.design_xml, "<x/>");
-  EXPECT_TRUE(r.analyze.device.empty());
-  EXPECT_FALSE(r.analyze.budget.has_value());
+  EXPECT_EQ(r.partition.id, "a1");
+  EXPECT_EQ(r.partition.design_xml, "<x/>");
+  EXPECT_TRUE(r.partition.device.empty());
+  EXPECT_FALSE(r.partition.budget.has_value());
 }
 
 TEST(ProtocolTest, AnalyzeRequestWithTargets) {
   const Request dev = parse_request(
       "{\"type\":\"analyze\",\"design_xml\":\"<x/>\","
       "\"device\":\"XC5VLX30\"}");
-  EXPECT_EQ(dev.analyze.device, "XC5VLX30");
+  EXPECT_EQ(dev.partition.device, "XC5VLX30");
 
   const Request bud = parse_request(
       "{\"type\":\"analyze\",\"design_xml\":\"<x/>\","
       "\"budget\":[100,20,30]}");
-  ASSERT_TRUE(bud.analyze.budget.has_value());
-  EXPECT_EQ(bud.analyze.budget->clbs, 100u);
-  EXPECT_EQ(bud.analyze.budget->brams, 20u);
-  EXPECT_EQ(bud.analyze.budget->dsps, 30u);
+  ASSERT_TRUE(bud.partition.budget.has_value());
+  EXPECT_EQ(bud.partition.budget->clbs, 100u);
+  EXPECT_EQ(bud.partition.budget->brams, 20u);
+  EXPECT_EQ(bud.partition.budget->dsps, 30u);
 }
 
 TEST(ProtocolTest, MalformedAnalyzeRequestsThrow) {
@@ -125,6 +125,9 @@ TEST(ProtocolTest, MalformedRequestsThrow) {
   EXPECT_THROW(parse_request("[1]"), ParseError);
   EXPECT_THROW(parse_request("{\"id\":\"x\"}"), ParseError);  // no type
   EXPECT_THROW(parse_request("{\"type\":\"bogus\"}"), ParseError);
+  // Every type rejects fields it does not declare, ping and stats too.
+  EXPECT_THROW(parse_request("{\"type\":\"ping\",\"x\":1}"), ParseError);
+  EXPECT_THROW(parse_request("{\"type\":\"stats\",\"x\":1}"), ParseError);
   // Partition without a design.
   EXPECT_THROW(parse_request("{\"type\":\"partition\"}"), ParseError);
   EXPECT_THROW(

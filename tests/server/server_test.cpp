@@ -223,7 +223,7 @@ TEST(ServerTest, AnalyzeRequestIsServedInline) {
   Server server(quiet_options());
   server.start();
   Client client("127.0.0.1", server.port());
-  AnalyzeRequest req;
+  PartitionRequest req;
   req.id = "an1";
   req.design_xml = design_to_xml(synth::wireless_receiver_design());
   const ClientResponse resp = client.analyze(req);
@@ -246,7 +246,7 @@ TEST(ServerTest, AnalyzeMalformedDesignReturnsDiagnosticsNotAnError) {
   Server server(quiet_options());
   server.start();
   Client client("127.0.0.1", server.port());
-  AnalyzeRequest req;
+  PartitionRequest req;
   req.id = "an-broken";
   req.design_xml = "<design name=\"t\"></design>";
   const ClientResponse resp = client.analyze(req);
@@ -259,7 +259,7 @@ TEST(ServerTest, AnalyzeUnknownDeviceIsBadRequest) {
   Server server(quiet_options());
   server.start();
   Client client("127.0.0.1", server.port());
-  AnalyzeRequest req;
+  PartitionRequest req;
   req.id = "an-dev";
   req.design_xml = design_to_xml(small_design());
   req.device = "XC9NOPE";
@@ -292,7 +292,7 @@ TEST(ServerTest, AnalyzeResponseMatchesOneShotCliByteForByte) {
 
   Server server(quiet_options());
   server.start();
-  AnalyzeRequest req;
+  PartitionRequest req;
   req.id = "an-twin";
   req.design_xml = design_xml;
   const std::string line =

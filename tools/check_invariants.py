@@ -4,7 +4,7 @@
 Usage:
     check_invariants.py [--repo PATH]
 
-Four families of drift this linter makes impossible to land silently:
+Five families of drift this linter makes impossible to land silently:
 
   1. Diagnostics: every diagnostic code constructed in src/analysis,
      src/design (the reader's structural codes), src/sim or src/floorplan
@@ -24,6 +24,12 @@ Four families of drift this linter makes impossible to land silently:
      and have a row (by its level number) in DESIGN.md's lock hierarchy
      table, and every row must name an enumerator, so a level whose mutex
      is deleted cannot linger.
+  5. Request fields: every wire field a request type declares in
+     src/server/protocol.hpp (the `.wire = "..."` entries of its field
+     groups) must appear backticked in that type's section of
+     docs/protocol.md, and every row of a `| field |` table there must name
+     a field the type declares. `simulate` and `floorplan` inherit the
+     `partition` fields, which the `partition` section documents.
 
 Exit status: 0 clean, 1 on any violation, 2 on usage/IO errors.
 """
@@ -49,6 +55,25 @@ DIAG_DIRS = ("src/analysis", "src/design", "src/sim", "src/floorplan")
 LOCK_LEVEL_ENUM = re.compile(r"^\s*(k\w+)\s*=\s*(\d+)\s*,", re.MULTILINE)
 MUTEX_LEVEL = re.compile(r"\bMutex\s+\w+\s*[{(]\s*lock_order::Level::(k\w+)")
 LOCK_TABLE_ROW = re.compile(r"^\|\s*(\d+)\s*\|", re.MULTILINE)
+
+# Field groups of the request schema: `static void <group>(V& v, ...)`
+# inside `struct <Owner>`, each entry naming its wire field.
+SCHEMA_SOURCE = "src/server/protocol.hpp"
+SCHEMA_STRUCT = re.compile(r"^struct (\w+) \{")
+SCHEMA_GROUP = re.compile(r"^\s*static void (\w+)\(V& v,")
+SCHEMA_WIRE = re.compile(r'\.wire = "([a-z_]+)"')
+# Request type -> (groups its doc section documents, type it inherits from).
+REQUEST_TYPES = {
+    "partition": ({"PartitionRequest.target_fields",
+                   "PartitionRequest.effort_fields"}, None),
+    "analyze": ({"PartitionRequest.target_fields"}, None),
+    "simulate": ({"SimulateParams.fields"}, "partition"),
+    "floorplan": ({"FloorplanParams.fields"}, "partition"),
+    "metrics": ({"Request.metrics_fields"}, None),
+    "stats": (set(), None),
+    "ping": (set(), None),
+}
+FIELD_ROW = re.compile(r"^\|\s*`([^`]+)`\s*\|")
 
 STATS_SOURCES = ("src/server/stats.cpp", "src/server/protocol.cpp")
 SET_KEY = re.compile(r'\.set\("([a-z][a-z0-9_]*)"')
@@ -145,6 +170,87 @@ def check_stats_docs(repo, failures):
                         "the protocol emits must be described there")
 
 
+def find_schema_groups(repo):
+    """{"Owner.group": [wire field, ...]} from the request declarations."""
+    groups = {}
+    owner = group = None
+    for line in (repo / SCHEMA_SOURCE).read_text().splitlines():
+        if m := SCHEMA_STRUCT.match(line):
+            owner, group = m.group(1), None
+        elif m := SCHEMA_GROUP.match(line):
+            group = f"{owner}.{m.group(1)}"
+            groups[group] = []
+        elif group:
+            groups[group].extend(SCHEMA_WIRE.findall(line))
+    return groups
+
+
+def protocol_sections(protocol_md):
+    """{request type: its `### `type`` section of docs/protocol.md}."""
+    sections = {}
+    for m in re.finditer(r"^### `(\w+)`\n", protocol_md, re.MULTILINE):
+        end = re.search(r"^##", protocol_md[m.end():], re.MULTILINE)
+        sections[m.group(1)] = protocol_md[
+            m.end():m.end() + end.start() if end else None]
+    return sections
+
+
+def field_rows(section):
+    """Names in the first column of the section's `| field |` tables."""
+    rows, in_table = [], False
+    for line in section.splitlines():
+        if line.startswith("| field |"):
+            in_table = True
+        elif in_table and line.startswith("|"):
+            if m := FIELD_ROW.match(line):
+                rows.append(m.group(1))
+        else:
+            in_table = False
+    return rows
+
+
+def check_request_fields(repo, failures):
+    groups = find_schema_groups(repo)
+    if not groups:
+        failures.append(
+            f"fields: no field groups found in {SCHEMA_SOURCE} -- update "
+            "SCHEMA_GROUP/SCHEMA_WIRE in tools/check_invariants.py")
+        return
+    mapped = set().union(*(own for own, _ in REQUEST_TYPES.values()))
+    for group in sorted(set(groups) - mapped):
+        failures.append(
+            f"fields: {SCHEMA_SOURCE} declares field group {group}, which "
+            "no request type in tools/check_invariants.py REQUEST_TYPES "
+            "carries -- map it so its fields are checked against the docs")
+    sections = protocol_sections((repo / "docs/protocol.md").read_text())
+
+    def own_fields(request_type):
+        own, _ = REQUEST_TYPES[request_type]
+        return [f for g in sorted(own) for f in groups.get(g, [])]
+
+    for request_type, (_, parent) in REQUEST_TYPES.items():
+        section = sections.get(request_type)
+        if section is None:
+            failures.append(
+                f"fields: docs/protocol.md has no \"### `{request_type}`\" "
+                "section -- did the heading move?")
+            continue
+        declared = set(own_fields(request_type))
+        for field in own_fields(request_type):
+            if f"`{field}`" not in section:
+                failures.append(
+                    f"fields: `{request_type}` declares wire field "
+                    f"\"{field}\", which its docs/protocol.md section never "
+                    "names -- document it")
+        allowed = declared | (set(own_fields(parent)) if parent else set())
+        for row in field_rows(section):
+            if row not in allowed:
+                failures.append(
+                    f"fields: docs/protocol.md's `{request_type}` section "
+                    f"has a row for \"{row}\", which the request type does "
+                    "not declare -- delete or rename the stale row")
+
+
 def load_check_bench(repo):
     spec = importlib.util.spec_from_file_location(
         "check_bench", repo / "tools/check_bench.py")
@@ -226,14 +332,15 @@ def main():
     check_stats_docs(repo, failures)
     check_bench_coverage(repo, failures)
     check_lock_levels(repo, failures)
+    check_request_fields(repo, failures)
 
     if failures:
         print(f"check_invariants: {len(failures)} violation(s):")
         for line in failures:
             print(f"  {line}")
         return 1
-    print("check_invariants: diagnostics, stats docs, bench gating and "
-          "lock levels are consistent")
+    print("check_invariants: diagnostics, stats docs, bench gating, "
+          "lock levels and request fields are consistent")
     return 0
 
 
